@@ -18,8 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.ct.dedup import CertificateCorpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
-from repro.dns.records import RecordType
-from repro.dns.snapshots import SnapshotStore, diff_days
+from repro.dns.snapshots import SnapshotStore
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
 
@@ -74,75 +73,52 @@ class DepartureJoinStats:
     findings: int = 0
 
 
-def find_departures(store: SnapshotStore) -> List[Departure]:
-    """Scan consecutive snapshot pairs for Cloudflare delegation loss.
-
-    Real daily scans suffer transient lookup failures; a domain that merely
-    *vanished for one day* and reappears still Cloudflare-delegated is scan
-    loss, not a departure. The paper compares each day "with neighboring
-    days" — so a disappearance only counts when the following scan (when
-    one exists) confirms the domain is still gone or no longer delegated to
-    Cloudflare.
-    """
-    departures: List[Departure] = []
-    ordered_days = store.days()
-    day_index = {d: i for i, d in enumerate(ordered_days)}
-    for before, after in store.consecutive_pairs():
-        for diff in diff_days(before, after):
-            removed = {
-                target
-                for target in (
-                    diff.removed_of(RecordType.NS) | diff.removed_of(RecordType.CNAME)
-                )
-                if is_cloudflare_delegation(target)
-            }
-            if not removed:
-                continue
-            if diff.disappeared:
-                if _reappears_on_cloudflare(
-                    store, ordered_days, day_index, after.day, diff.apex
-                ):
-                    continue  # transient scan loss
-            else:
-                # Verify no Cloudflare delegation remains on the later day:
-                # a partial nameserver shuffle within Cloudflare is not a
-                # departure.
-                obs_after = after.get(diff.apex)
-                if obs_after is not None and any(
-                    is_cloudflare_delegation(t) for t in obs_after.delegation_targets()
-                ):
-                    continue
-            departures.append(
-                Departure(
-                    apex=diff.apex,
-                    departure_day=diff.day_after,
-                    removed_targets=frozenset(removed),
-                )
-            )
-    return departures
-
-
 #: How many later scans to consult before trusting a disappearance.
 #: Consecutive lookup failures happen; the first *observation* decides.
 DISAPPEARANCE_LOOKAHEAD_SCANS = 3
 
 
-def _reappears_on_cloudflare(
-    store: SnapshotStore,
-    ordered_days: List,
-    day_index: Dict,
-    after_day,
-    apex: str,
-) -> bool:
-    start = day_index[after_day] + 1
-    for position in range(start, min(start + DISAPPEARANCE_LOOKAHEAD_SCANS, len(ordered_days))):
-        snapshot = store.get(ordered_days[position])
-        obs = snapshot.get(apex) if snapshot is not None else None
-        if obs is None:
-            continue  # still unobserved; could be another lookup failure
-        # First actual observation decides: back on Cloudflare = scan loss.
-        return any(is_cloudflare_delegation(t) for t in obs.delegation_targets())
-    return False  # never reappeared within the lookahead: trust the loss
+def find_departures(store: SnapshotStore) -> List[Departure]:
+    """Fold the store's delegation views for Cloudflare delegation loss.
+
+    An apex departs on scan day N+1 when it had Cloudflare targets on day
+    N and, on day N+1, is observed with none left (a partial nameserver
+    shuffle within Cloudflare is not a departure) or is not observed at
+    all. Real daily scans suffer transient lookup failures, and the paper
+    compares each day "with neighboring days": a disappearance only counts
+    when the first observation within the next
+    :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans is off Cloudflare, or there
+    is none. ``removed_targets`` are day N's Cloudflare targets; the result
+    is in (day, apex) order.
+    """
+    views = store.delegation_views()
+    cloudflare_of: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+    def cloudflare(targets: FrozenSet[str]) -> FrozenSet[str]:
+        subset = cloudflare_of.get(targets)
+        if subset is None:
+            subset = frozenset(t for t in targets if is_cloudflare_delegation(t))
+            cloudflare_of[targets] = subset
+        return subset
+
+    departures: List[Departure] = []
+    for position in range(1, len(views)):
+        departure_day, after = views[position]
+        for apex, targets in views[position - 1][1].items():
+            removed = cloudflare(targets)
+            if not removed:
+                continue
+            if apex in after:
+                if cloudflare(after[apex]):
+                    continue
+            else:
+                lookahead = views[position + 1 : position + 1 + DISAPPEARANCE_LOOKAHEAD_SCANS]
+                first_seen = next((view[apex] for _, view in lookahead if apex in view), None)
+                if first_seen is not None and cloudflare(first_seen):
+                    continue  # back on Cloudflare: transient scan loss
+            departures.append(Departure(apex, departure_day, removed))
+    departures.sort(key=lambda departure: (departure.departure_day, departure.apex))
+    return departures
 
 
 class ManagedTlsDetector:
@@ -173,7 +149,7 @@ class ManagedTlsDetector:
         if self._managed_by_domain is None:
             index: Dict[str, List[Certificate]] = {}
             for certificate in self._managed():
-                for san in certificate.fqdns():
+                for san in sorted(certificate.fqdns()):
                     if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
                         continue  # the CDN's own marker SAN
                     index.setdefault(san, []).append(certificate)

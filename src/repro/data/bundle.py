@@ -22,9 +22,16 @@ back in the same order with the same values.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
+from repro.dns.records import RecordType
+from repro.dns.snapshots import (
+    DailySnapshot,
+    DelegationView,
+    DomainObservation,
+    SnapshotStore,
+)
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.util.dates import Day
@@ -199,6 +206,7 @@ class LazySnapshotStore(SnapshotStore):
     unchanged domains repeat identical record JSON across scan days, so
     each distinct observation decodes once and every later day shares the
     object — the same sharing the world simulator's snapshot builder uses.
+    :meth:`delegation_views` skips snapshots altogether.
     """
 
     def __init__(self, dns) -> None:
@@ -206,14 +214,12 @@ class LazySnapshotStore(SnapshotStore):
         self._dns = dns
         self._intern: Dict[Tuple[str, bytes], DomainObservation] = {}
         self._ranges: Dict[Day, Tuple[int, int]] = {}
-        days = dns.column("day")
-        for row in range(dns.rows):
-            scan_day = days[row]
-            if scan_day not in self._ranges:
-                self._ranges[scan_day] = (row, row + 1)
-            else:
-                first, _ = self._ranges[scan_day]
-                self._ranges[scan_day] = (first, row + 1)
+        for row, segment in dns.segments():
+            for scan_day, run in groupby(segment.column("day")):
+                count = sum(1 for _ in run)
+                first = self._ranges.get(scan_day, (row, row))[0]
+                self._ranges[scan_day] = (first, row + count)
+                row += count
 
     def days(self) -> List[Day]:
         return sorted(set(self._ranges) | set(self._by_day))
@@ -253,6 +259,27 @@ class LazySnapshotStore(SnapshotStore):
         for scan_day in self.days():
             self.get(scan_day)  # materialize into _by_day for the base walk
         return super().consecutive_pairs()
+
+    def delegation_views(self) -> List[Tuple[Day, DelegationView]]:
+        """One pass over the (day, apex, records) columns, segment by
+        segment; each distinct raw records cell parses once."""
+        targets_of: Dict[bytes, FrozenSet[str]] = {}
+        views: Dict[Day, DelegationView] = {}
+        for _, segment in self._dns.segments():
+            for scan_day, apex, raw in zip(
+                segment.column("day"),
+                segment.column("apex").raw_cells(),
+                segment.column("records").raw_cells(),
+            ):
+                targets = targets_of.get(raw)
+                if targets is None:
+                    rdatas = json.loads(raw)
+                    targets = frozenset(rdatas.get(RecordType.NS.value, ())) | frozenset(
+                        rdatas.get(RecordType.CNAME.value, ())
+                    )
+                    targets_of[raw] = targets
+                views.setdefault(scan_day, {})[apex.decode("utf-8")] = targets
+        return sorted(views.items())
 
 
 class ColumnarBundle:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.stale import StalenessClass
@@ -150,6 +151,20 @@ class Table:
 
     def columns(self, column_names: Sequence[str]) -> Dict[str, "ChainedColumn"]:
         return {name: self.column(name) for name in column_names}
+
+    def segments(self) -> Iterator[Tuple[int, Segment]]:
+        """``(first row id, segment)`` in row order, for segment-local scans."""
+        for ref, base in zip(self._refs, self._bases):
+            yield base, self._segment(ref)
+
+    def _locate(self, row: int) -> Tuple[int, int]:
+        """``(segment position, local row)`` of global row id *row*."""
+        if row < 0:
+            row += self.rows
+        if not 0 <= row < self.rows:
+            raise IndexError(row)
+        position = bisect_right(self._bases, row) - 1  # rightmost base <= row
+        return position, row - self._bases[position]
 
     def zone_range(self, column: str) -> Optional[Tuple[Any, Any]]:
         """Aggregated (min, max) of *column* across all segment zone maps."""
@@ -309,20 +324,8 @@ class ChainedColumn(Sequence):
         return self._table.rows
 
     def _locate(self, row: int) -> Tuple[Segment, int]:
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError(row)
-        bases = self._table._bases
-        low, high = 0, len(bases) - 1
-        while low < high:  # rightmost base <= row
-            mid = (low + high + 1) // 2
-            if bases[mid] <= row:
-                low = mid
-            else:
-                high = mid - 1
-        ref = self._table._refs[low]
-        return self._table._segment(ref), row - bases[low]
+        position, local = self._table._locate(row)
+        return self._table._segment(self._table._refs[position]), local
 
     def __getitem__(self, row):
         if isinstance(row, slice):
@@ -331,10 +334,8 @@ class ChainedColumn(Sequence):
         return segment.column(self._name)[local]
 
     def __iter__(self):
-        for ref, base in zip(self._table._refs, self._table._bases):
-            column = self._table._segment(ref).column(self._name)
-            for local in range(ref["rows"]):
-                yield column[local]
+        for _, segment in self._table.segments():
+            yield from segment.column(self._name)
 
     def cell_bytes(self, row: int) -> bytes:
         """Raw encoded cell (str/json columns only) for value interning."""
@@ -353,16 +354,28 @@ class CertsTable(Table):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._hydrated: Dict[int, Certificate] = {}
+        self._local_columns: Dict[int, Dict[str, Sequence]] = {}
 
     def certificate(self, row: int) -> Certificate:
+        """Hydrate *row* (cached), reading every cell from its own segment."""
         certificate = self._hydrated.get(row)
         if certificate is None:
-            certificate = schema.certificate_at(
-                self.columns([name for name, _ in schema.COLUMNS[schema.CERTS_TABLE]]),
-                row,
-            )
+            position, local = self._locate(row)
+            columns = self._local_columns.get(position)
+            if columns is None:
+                segment = self._segment(self._refs[position])
+                columns = {
+                    name: segment.column(name)
+                    for name, _ in schema.COLUMNS[schema.CERTS_TABLE]
+                }
+                self._local_columns[position] = columns
+            certificate = schema.certificate_at(columns, local)
             self._hydrated[row] = certificate
         return certificate
+
+    def close(self) -> None:
+        self._local_columns.clear()
+        super().close()
 
     def certificates(self) -> Iterator[Certificate]:
         for row in range(self.rows):

@@ -238,6 +238,14 @@ class StrColumn(Sequence):
         (hash the bytes, decode once) instead of re-decoding per row."""
         return self._cell_bytes(index)
 
+    def raw_cells(self) -> Iterator[bytes]:
+        """Every raw cell in row order, in one pass with no per-cell
+        bounds checks — for segment-local kernels."""
+        offsets = self._offsets
+        data = self._data
+        for start, end in zip(offsets, offsets[1:]):  # zero-copy on mapped views
+            yield bytes(data[start:end])
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]

@@ -4,6 +4,8 @@ The paper's managed-TLS detector compares "each day's NS and CNAME records
 with neighboring days" (Section 4.3). A :class:`DailySnapshot` captures, for
 one day, the observed record sets per apex; :func:`diff_days` produces the
 per-domain record-set changes between two snapshots.
+:meth:`SnapshotStore.delegation_views` projects a store down to what the
+managed-TLS departure search reads: per day, each apex's NS/CNAME targets.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from repro.util.dates import Day, day_to_iso
 
 #: The record types captured by the daily scan, per Table 3 of the paper.
 SCANNED_TYPES = (RecordType.A, RecordType.AAAA, RecordType.NS, RecordType.CNAME)
+
+#: One scan day's delegation: apex -> NS plus CNAME targets. An apex
+#: observed without either record maps to the empty set, so presence
+#: stays distinguishable from absence.
+DelegationView = Dict[str, FrozenSet[str]]
 
 
 @dataclass
@@ -151,6 +158,19 @@ class SnapshotStore:
         ordered = self.days()
         for before_day, after_day in zip(ordered, ordered[1:]):
             yield self._by_day[before_day], self._by_day[after_day]
+
+    def delegation_views(self) -> List[Tuple[Day, DelegationView]]:
+        """``(day, apex -> delegation targets)`` for every scan day, in day order."""
+        return [
+            (
+                scan_day,
+                {
+                    apex: observation.delegation_targets()
+                    for apex, observation in self.get(scan_day)._observations.items()
+                },
+            )
+            for scan_day in self.days()
+        ]
 
     def __len__(self) -> int:
         return len(self._by_day)

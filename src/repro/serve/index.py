@@ -37,6 +37,7 @@ from repro.obs import get_registry, names, phase_progress, span
 from repro.parallel.pipeline import canonical_order_key
 from repro.psl.registered import e2ld
 from repro.util.dates import Day, day_to_iso, year_of
+from repro.util.stats import percentile_sorted
 
 #: Largest lifetime cap (days) a what-if query may ask for; bounds the
 #: per-cap memo so an adversarial query stream cannot grow it unboundedly.
@@ -48,23 +49,6 @@ _CAP_CLASSES = (
     StalenessClass.REGISTRANT_CHANGE,
     StalenessClass.MANAGED_TLS_DEPARTURE,
 )
-
-
-def _percentile_sorted(ordered: Sequence[float], pct: float) -> float:
-    """Linear-interpolated percentile over an **already sorted** sequence.
-
-    Same interpolation as :func:`repro.util.stats.percentile`, minus the
-    sort — the index sorts once at build time, so evaluation is O(1).
-    """
-    if not ordered:
-        raise ValueError("percentile of empty sequence")
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = (pct / 100.0) * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return float(ordered[lower]) * (1 - fraction) + float(ordered[upper]) * fraction
 
 
 def _finding_record(finding: StaleCertificate) -> dict:
@@ -198,7 +182,7 @@ class FindingsIndex:
                     "daily_e2lds": aggregate.daily_e2lds,
                     "staleness_days_total": sum(ordered),
                     "median_staleness_days": (
-                        _percentile_sorted(ordered, 50.0) if ordered else None
+                        percentile_sorted(ordered, 50.0) if ordered else None
                     ),
                 }
             )
@@ -312,7 +296,7 @@ class FindingsIndex:
         n = len(ordered)
         entry: dict = {"class": staleness_class.value, "n": n}
         if n:
-            entry["median_days_to_invalidation"] = _percentile_sorted(ordered, 50.0)
+            entry["median_days_to_invalidation"] = percentile_sorted(ordered, 50.0)
             entry["survival"] = {
                 str(t): 1.0 - bisect_right(ordered, t) / n for t in at
             }

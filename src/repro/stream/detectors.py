@@ -408,7 +408,7 @@ class IncrementalManagedTlsDetector:
     def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
         if not is_cloudflare_managed_certificate(certificate):
             return []
-        for san in certificate.fqdns():
+        for san in sorted(certificate.fqdns()):
             if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
                 continue  # the CDN's own marker SAN
             self._managed_by_domain.setdefault(san, []).append(certificate)
@@ -417,7 +417,7 @@ class IncrementalManagedTlsDetector:
     def handle_snapshot(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
         snapshot = event.snapshot
         current: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        for apex in snapshot.apexes():
+        for apex in sorted(snapshot.apexes()):  # hash-seed-free emission order
             observation = snapshot.get(apex)
             current[apex] = (
                 observation.get(RecordType.NS),

@@ -22,24 +22,33 @@ def median(values: Sequence[float]) -> float:
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile, ``pct`` in ``[0, 100]``."""
-    if not values:
+    return percentile_sorted(sorted(values), pct)
+
+
+def percentile_sorted(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` over an **already sorted** sequence (no copy).
+
+    Interpolates as ``a + (b - a) * f`` clamped to ``[a, b]``; the
+    ``a * (1 - f) + b * f`` form underflows on subnormals, putting
+    ``median([5e-324, 5e-324])`` at ``0.0``.
+    """
+    if not ordered:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile {pct} outside [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
     position = (pct / 100.0) * (len(ordered) - 1)
     lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return float(ordered[lower]) * (1 - fraction) + float(ordered[upper]) * fraction
+    low = float(ordered[lower])
+    if lower == position:
+        return low
+    high = float(ordered[lower + 1])
+    return min(max(low + (high - low) * (position - lower), low), high)
 
 
 def quantiles(values: Sequence[float], points: Iterable[float]) -> List[float]:
     """Evaluate several percentiles over the same sorted copy."""
     ordered = sorted(values)
-    return [percentile(ordered, p) for p in points]
+    return [percentile_sorted(ordered, p) for p in points]
 
 
 class Ecdf:
@@ -72,7 +81,7 @@ class Ecdf:
 
     @property
     def median_value(self) -> float:
-        return median(self._sorted)
+        return percentile_sorted(self._sorted, 50.0)
 
     def curve(self, points: int = 200) -> List[Tuple[float, float]]:
         """Sampled ``(x, F(x))`` pairs for plotting/reporting."""

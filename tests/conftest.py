@@ -8,11 +8,22 @@ their own tiny objects via the helpers below.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import MeasurementPipeline, WorldConfig, simulate_world
 from repro.pki.certificate import Certificate
 from repro.pki.keys import KeyAlgorithm, KeyPair, KeyStore
 from repro.util.dates import day
+
+#: Tier-1 runs every property test on a fixed example sequence (no example
+#: database, no timing deadline), so the suite gives the same verdict on
+#: every run. The random search lives in the ``explore`` profile, which
+#: CI's ``hypothesis-explore`` job runs with a printed seed:
+#: ``pytest -m hypothesis --hypothesis-profile explore --hypothesis-seed N``.
+#: Tests with their own ``max_examples`` keep it under both profiles.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", max_examples=1000, deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,17 @@
 """Tests for ECDF, survival curves, and percentile helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.util.stats import Ecdf, SurvivalCurve, histogram_by, median, percentile, quantiles
+from repro.util.stats import (
+    Ecdf,
+    SurvivalCurve,
+    histogram_by,
+    median,
+    percentile,
+    percentile_sorted,
+    quantiles,
+)
 
 
 class TestPercentiles:
@@ -29,11 +37,19 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             percentile([1], 101)
 
+    def test_presorted_variant_matches(self):
+        values = [9.5, 1.0, 4.0, 4.0, 7.25]
+        for pct in (0, 10, 50, 62.5, 99, 100):
+            assert percentile_sorted(sorted(values), pct) == percentile(values, pct)
+        with pytest.raises(ValueError):
+            percentile_sorted([], 50)
+
     def test_quantiles_batch(self):
         assert quantiles([1, 2, 3, 4, 5], [0, 50, 100]) == [1, 3, 5]
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
+    @example([5e-324, 5e-324])  # subnormal underflow of a*(1-f) + b*f
     def test_median_between_min_and_max(self, values):
         m = median(values)
         assert min(values) <= m <= max(values)
