@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.ct.dedup import CertificateCorpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
@@ -55,6 +55,24 @@ def is_cloudflare_delegation(target: str) -> bool:
     return bool(_CLOUDFLARE_DELEGATION_RE.search(target.lower().rstrip(".")))
 
 
+def cloudflare_subsets() -> Callable[[FrozenSet[str]], FrozenSet[str]]:
+    """A memoised ``targets -> Cloudflare subset`` map.
+
+    Delegation views share one frozenset per distinct target set, so each
+    set runs the delegation regex once.
+    """
+    cloudflare_of: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+    def cloudflare(targets: FrozenSet[str]) -> FrozenSet[str]:
+        subset = cloudflare_of.get(targets)
+        if subset is None:
+            subset = frozenset(t for t in targets if is_cloudflare_delegation(t))
+            cloudflare_of[targets] = subset
+        return subset
+
+    return cloudflare
+
+
 @dataclass(frozen=True)
 class Departure:
     """One detected managed-TLS departure."""
@@ -92,15 +110,7 @@ def find_departures(store: SnapshotStore) -> List[Departure]:
     is in (day, apex) order.
     """
     views = store.delegation_views()
-    cloudflare_of: Dict[FrozenSet[str], FrozenSet[str]] = {}
-
-    def cloudflare(targets: FrozenSet[str]) -> FrozenSet[str]:
-        subset = cloudflare_of.get(targets)
-        if subset is None:
-            subset = frozenset(t for t in targets if is_cloudflare_delegation(t))
-            cloudflare_of[targets] = subset
-        return subset
-
+    cloudflare = cloudflare_subsets()
     departures: List[Departure] = []
     for position in range(1, len(views)):
         departure_day, after = views[position]

@@ -79,7 +79,7 @@ class ColumnarCorpus:
         self._certs = certs
 
     def certificates(self) -> Iterator[Certificate]:
-        return (self._certs.certificate(row) for row in range(len(self._certs)))
+        return self._certs.certificates()
 
     def __len__(self) -> int:
         return len(self._certs)

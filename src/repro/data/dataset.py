@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
+from itertools import count
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.stale import StalenessClass
@@ -165,6 +166,11 @@ class Table:
             raise IndexError(row)
         position = bisect_right(self._bases, row) - 1  # rightmost base <= row
         return position, row - self._bases[position]
+
+    def _segment_row(self, row: int) -> Tuple[Segment, int]:
+        """``(segment, local row)`` holding global row id *row*."""
+        position, local = self._locate(row)
+        return self._segment(self._refs[position]), local
 
     def zone_range(self, column: str) -> Optional[Tuple[Any, Any]]:
         """Aggregated (min, max) of *column* across all segment zone maps."""
@@ -323,14 +329,10 @@ class ChainedColumn(Sequence):
     def __len__(self) -> int:
         return self._table.rows
 
-    def _locate(self, row: int) -> Tuple[Segment, int]:
-        position, local = self._table._locate(row)
-        return self._table._segment(self._table._refs[position]), local
-
     def __getitem__(self, row):
         if isinstance(row, slice):
             return [self[i] for i in range(*row.indices(len(self)))]
-        segment, local = self._locate(row)
+        segment, local = self._table._segment_row(row)
         return segment.column(self._name)[local]
 
     def __iter__(self):
@@ -339,7 +341,7 @@ class ChainedColumn(Sequence):
 
     def cell_bytes(self, row: int) -> bytes:
         """Raw encoded cell (str/json columns only) for value interning."""
-        segment, local = self._locate(row)
+        segment, local = self._table._segment_row(row)
         return segment.column(self._name).cell_bytes(local)
 
 
@@ -378,8 +380,23 @@ class CertsTable(Table):
         super().close()
 
     def certificates(self) -> Iterator[Certificate]:
-        for row in range(self.rows):
-            yield self.certificate(row)
+        """Every certificate in row order, hydrated column at a time: a
+        segment with unhydrated rows decodes each column once into a list.
+        Each new certificate's e2LDs come from the stored ``e2lds``
+        column, skipping the PSL walk."""
+        names = [name for name, _ in schema.COLUMNS[schema.CERTS_TABLE]]
+        for base, segment in self.segments():
+            columns: Optional[Dict[str, List[Any]]] = None
+            for local in range(segment.rows):
+                certificate = self._hydrated.get(base + local)
+                if certificate is None:
+                    if columns is None:
+                        columns = {name: list(segment.column(name)) for name in names}
+                    certificate = schema.certificate_at(columns, local)
+                    e2lds = frozenset(columns["e2lds"][local])
+                    object.__setattr__(certificate, "_e2lds", e2lds)
+                    self._hydrated[base + local] = certificate
+                yield certificate
 
     def rows_for_revocation_key(self, key: Tuple[str, int]) -> List[int]:
         return self.lookup("revkey", key)
@@ -397,23 +414,23 @@ class RevocationsTable(Table):
     """Deduplicated CRL entries with their issuing (issuer, akid)."""
 
     def entry(self, row: int) -> CrlEntry:
-        return schema.revocation_entry_at(
-            self.columns(("serial", "revocation_day", "reason")), row
-        )
+        segment, local = self._segment_row(row)
+        columns = {
+            name: segment.column(name)
+            for name in ("serial", "revocation_day", "reason")
+        }
+        return schema.revocation_entry_at(columns, local)
 
     def issuer_rows(self) -> Iterator[Tuple[int, str, str]]:
         """Yield ``(row, issuer_name, authority_key_id)`` in row order."""
-        issuers = self.column("issuer_name")
-        akids = self.column("authority_key_id")
-        for row in range(self.rows):
-            yield row, issuers[row], akids[row]
+        return zip(
+            count(), self.column("issuer_name"), self.column("authority_key_id")
+        )
 
 
 class WhoisTable(Table):
     def pairs(self) -> List[Tuple[str, Day]]:
-        domains = self.column("domain")
-        days = self.column("creation_day")
-        return [(domains[row], days[row]) for row in range(self.rows)]
+        return list(zip(self.column("domain"), self.column("creation_day")))
 
 
 class DnsTable(Table):

@@ -252,8 +252,7 @@ class StrColumn(Sequence):
         return self._cell_bytes(index).decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        for index in range(len(self)):
-            yield self[index]
+        return (raw.decode("utf-8") for raw in self.raw_cells())
 
 
 class JsonColumn(StrColumn):
@@ -263,6 +262,16 @@ class JsonColumn(StrColumn):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         return json.loads(self._cell_bytes(index).decode("utf-8"))
+
+    def __iter__(self) -> Iterator[Any]:
+        # Every cell is one JSON value, so the comma-joined cells parse as
+        # one array: a single C-level decode for the whole column.
+        values = json.loads(b"[" + b",".join(self.raw_cells()) + b"]")
+        if len(values) != len(self):
+            raise SegmentFormatError(
+                f"json column decodes to {len(values)} values for {len(self)} rows"
+            )
+        return iter(values)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from typing import Optional
 
 from repro.util.storage import dump_json, load_json
 
-#: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped whenever the checkpoint layout changes incompatibly. v2 keeps the
+#: managed-TLS ``last_view`` as ``{apex: [Cloudflare targets]}`` for
+#: Cloudflare-delegated apexes only, plus its departure counter.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

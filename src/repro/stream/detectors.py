@@ -2,7 +2,7 @@
 
 Each wrapper maintains exactly the state its batch counterpart derives per
 run — a seen-certificate index, the merged revocation view, per-domain
-registry creation dates, the last NS/CNAME view per apex — and emits
+registry creation dates, the last Cloudflare delegation per apex — and emits
 :class:`~repro.core.stale.StaleCertificate` findings *as events arrive*.
 
 Correctness contract (enforced by the equivalence tests): fed a bundle's
@@ -36,7 +36,7 @@ from repro.core.detectors.managed_tls import (
     DISAPPEARANCE_LOOKAHEAD_SCANS,
     DepartureJoinStats,
     _domains_under,
-    is_cloudflare_delegation,
+    cloudflare_subsets,
     is_cloudflare_managed_certificate,
     CLOUDFLARE_MANAGED_SAN_SUFFIX,
 )
@@ -45,7 +45,7 @@ from repro.core.detectors.registrant_change import (
     _covers_registration,
 )
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
-from repro.dns.records import RecordType
+from repro.dns.snapshots import DelegationView
 from repro.pki.certificate import Certificate
 from repro.psl.registered import e2ld
 from repro.revocation.crl import CrlEntry
@@ -384,7 +384,9 @@ class IncrementalManagedTlsDetector:
     """Streaming managed-TLS departure detection (paper §4.3).
 
     State: the Cloudflare-managed certificate index by customer domain, the
-    last NS/CNAME view per apex, and pending disappearances waiting for the
+    previous scan day's Cloudflare targets per Cloudflare-delegated apex
+    (an apex that is not on Cloudflare cannot depart, so it is not kept),
+    the emitted departure count, and pending disappearances waiting for the
     batch detector's transient-scan-loss lookahead (up to
     :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` later snapshots; the first actual
     observation decides, and an exhausted lookahead confirms the loss).
@@ -397,8 +399,8 @@ class IncrementalManagedTlsDetector:
 
     def __init__(self) -> None:
         self._managed_by_domain: Dict[str, List[Certificate]] = {}
-        self._last_view: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        self._have_snapshot = False
+        self._last_view: Dict[str, FrozenSet[str]] = {}
+        self._cloudflare = cloudflare_subsets()
         self._pending: List[dict] = []
         self._departures_detected = 0
         self._findings: Dict[Tuple[str, str, Day], StaleCertificate] = {}
@@ -415,48 +417,30 @@ class IncrementalManagedTlsDetector:
         return []
 
     def handle_snapshot(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
-        snapshot = event.snapshot
-        current: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        for apex in sorted(snapshot.apexes()):  # hash-seed-free emission order
-            observation = snapshot.get(apex)
-            current[apex] = (
-                observation.get(RecordType.NS),
-                observation.get(RecordType.CNAME),
-            )
-        emitted: List[StaleCertificate] = []
-        if self._have_snapshot:
-            # Pendings predate this snapshot: resolve them against it first.
-            emitted.extend(self._resolve_pendings(current))
-            for apex, (ns_old, cname_old) in self._last_view.items():
-                if apex not in current:
-                    removed = {
-                        target
-                        for target in (ns_old | cname_old)
-                        if is_cloudflare_delegation(target)
+        """Fold one scan day's delegation view (the batch
+        :func:`~repro.core.detectors.managed_tls.find_departures` step)."""
+        view = event.view
+        # Pendings predate this view: resolve them against it first.
+        emitted = self._resolve_pendings(view)
+        for apex in sorted(self._last_view):  # hash-seed-free emission order
+            removed = sorted(self._last_view[apex])
+            targets = view.get(apex)
+            if targets is None:
+                self._pending.append(
+                    {
+                        "apex": apex,
+                        "departure_day": event.day,
+                        "removed": removed,
+                        "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
                     }
-                    if removed:
-                        self._pending.append(
-                            {
-                                "apex": apex,
-                                "departure_day": snapshot.day,
-                                "removed": sorted(removed),
-                                "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
-                            }
-                        )
-                    continue
-                ns_new, cname_new = current[apex]
-                removed = {
-                    target
-                    for target in ((ns_old - ns_new) | (cname_old - cname_new))
-                    if is_cloudflare_delegation(target)
-                }
-                if not removed:
-                    continue
-                if any(is_cloudflare_delegation(t) for t in (ns_new | cname_new)):
-                    continue  # partial nameserver shuffle within Cloudflare
-                emitted.extend(self._emit_departure(apex, snapshot.day, sorted(removed)))
-        self._last_view = current
-        self._have_snapshot = True
+                )
+            elif not self._cloudflare(targets):
+                emitted.extend(self._emit_departure(apex, event.day, removed))
+        self._last_view = {}
+        for apex, targets in view.items():
+            subset = self._cloudflare(targets)
+            if subset:
+                self._last_view[apex] = subset
         return emitted
 
     def consume(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
@@ -478,16 +462,13 @@ class IncrementalManagedTlsDetector:
         out.extend(self.findings())
         return out
 
-    def _resolve_pendings(
-        self, current: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]]
-    ) -> List[StaleCertificate]:
+    def _resolve_pendings(self, view: DelegationView) -> List[StaleCertificate]:
         emitted: List[StaleCertificate] = []
         unresolved: List[dict] = []
         for pending in self._pending:
             apex = pending["apex"]
-            if apex in current:
-                ns, cname = current[apex]
-                if any(is_cloudflare_delegation(t) for t in (ns | cname)):
+            if apex in view:
+                if self._cloudflare(view[apex]):
                     continue  # back on Cloudflare: transient scan loss
                 emitted.extend(
                     self._emit_departure(
@@ -554,8 +535,9 @@ class IncrementalManagedTlsDetector:
     @property
     def stats(self) -> DepartureJoinStats:
         """Join accounting in the batch detector's shape. The departure
-        count is the number this stream has *emitted* so far (the batch
-        detector counts a completed window's departures in one shot)."""
+        count is the number this stream has *emitted* so far, across
+        resumes (the batch detector counts a completed window's departures
+        in one shot)."""
         return DepartureJoinStats(
             managed_certificates_indexed=len(
                 {
@@ -572,12 +554,11 @@ class IncrementalManagedTlsDetector:
 
     def checkpoint_state(self) -> dict:
         return {
-            "have_snapshot": self._have_snapshot,
             "last_view": {
-                apex: {"ns": sorted(ns), "cname": sorted(cname)}
-                for apex, (ns, cname) in self._last_view.items()
+                apex: sorted(targets) for apex, targets in self._last_view.items()
             },
             "pending": [dict(pending) for pending in self._pending],
+            "departures_detected": self._departures_detected,
             "findings": [
                 [fingerprint, domain, finding.invalidation_day, finding.detail]
                 for (fingerprint, domain, _), finding in self._findings.items()
@@ -592,13 +573,12 @@ class IncrementalManagedTlsDetector:
         if resolve_certificate is None:
             raise ValueError("managed-TLS restore requires resolve_certificate")
         self._managed_by_domain.clear()
-        self._have_snapshot = state.get("have_snapshot", False)
         self._last_view = {
-            apex: (frozenset(view.get("ns", ())), frozenset(view.get("cname", ())))
-            for apex, view in state.get("last_view", {}).items()
+            apex: frozenset(targets)
+            for apex, targets in state.get("last_view", {}).items()
         }
         self._pending = [dict(pending) for pending in state.get("pending", [])]
-        self._departures_detected = 0  # counter restarts; stats are since-resume
+        self._departures_detected = state.get("departures_detected", 0)
         self._findings = {}
         for fingerprint, domain, departure_day, detail in state.get("findings", []):
             certificate = resolve_certificate(fingerprint)

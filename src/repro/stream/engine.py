@@ -3,7 +3,7 @@
 :func:`build_event_stream` derives the time-ordered event list from a
 :class:`~repro.core.pipeline.DatasetBundle` — CT entries at their notBefore
 day, compacted CRL deltas at each CRL's thisUpdate, distinct WHOIS creation
-pairs at their creation day, DNS snapshots at their scan day.
+pairs at their creation day, DNS delegation views at their scan day.
 :class:`StreamEngine` dispatches one day at a time, feeding the incremental
 detectors and republishing their findings as ``STALE_FINDING`` events, with
 optional periodic checkpointing and kill/resume.
@@ -133,14 +133,9 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
         sequence += 1
 
     if bundle.dns_snapshots is not None and len(bundle.dns_snapshots) >= 2:
-        for sequence, scan_day in enumerate(bundle.dns_snapshots.days()):
-            events.append(
-                DnsSnapshotTaken(
-                    day=scan_day,
-                    sequence=sequence,
-                    snapshot=bundle.dns_snapshots.get(scan_day),
-                )
-            )
+        views = bundle.dns_snapshots.delegation_views()
+        for sequence, (scan_day, view) in enumerate(views):
+            events.append(DnsSnapshotTaken(day=scan_day, sequence=sequence, view=view))
 
     events.sort(key=Event.sort_key)
     return events

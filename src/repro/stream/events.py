@@ -3,7 +3,7 @@
 The longitudinal datasets of the paper are all natural event streams: CT
 logs grow monotonically, CRLs republish daily with occasional new entries,
 WHOIS crawls surface new registry creation dates, and the daily DNS scan
-produces one snapshot per day. Each stream maps to one event type here.
+produces one delegation view per day. Each stream maps to one event type here.
 
 Within a day, events dispatch in dataset order — CT first, then CRL, then
 WHOIS, then DNS — so that every join a detector performs on day *d* sees
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.stale import StaleCertificate
-from repro.dns.snapshots import DailySnapshot
+from repro.dns.snapshots import DelegationView
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
 from repro.util.dates import Day, day_to_iso
@@ -113,9 +113,13 @@ class WhoisCreationObserved(Event):
 
 @dataclass(frozen=True, repr=False)
 class DnsSnapshotTaken(Event):
-    """One day of the daily DNS scan completed."""
+    """One day of the daily DNS scan completed.
 
-    snapshot: DailySnapshot = None  # type: ignore[assignment]
+    ``view`` is that day's delegation view (apex -> NS ∪ CNAME targets),
+    all the managed-TLS join reads from a scan.
+    """
+
+    view: DelegationView = None  # type: ignore[assignment]
 
     @property
     def event_type(self) -> EventType:

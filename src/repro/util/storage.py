@@ -34,12 +34,13 @@ def dump_json(path: str, obj: Any) -> str:
     Used for single-document state (stream checkpoints) where JSONL's
     record-per-line framing does not fit. The write goes through a ``.tmp``
     sibling plus :func:`os.replace` so a crash mid-write never leaves a
-    truncated document behind.
+    truncated document behind. One ``json.dumps`` (the C encoder, which
+    ``json.dump`` never uses) and a single write.
     """
     opener = gzip.open if path.endswith(".gz") else open
     tmp_path = path + ".tmp"
     with opener(tmp_path, "wt", encoding="utf-8") as handle:
-        json.dump(obj, handle, separators=(",", ":"), sort_keys=True)
+        handle.write(json.dumps(obj, separators=(",", ":"), sort_keys=True))
     os.replace(tmp_path, path)
     return path
 

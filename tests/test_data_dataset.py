@@ -210,3 +210,77 @@ class TestOpenFailsFast:
         os.remove(os.path.join(broken, "idx-certs-revkey.seg"))
         with pytest.raises((OSError, SegmentFormatError)):
             Dataset.open(broken)
+
+
+class TestSegmentLocalIteration:
+    """Iteration walks each segment's cells in one pass; it must equal
+    indexed access on tables of many three-row segments."""
+
+    @pytest.fixture(scope="class")
+    def tiny_bundle(self, bundle):
+        from repro.core.pipeline import DatasetBundle
+        from repro.ct.dedup import CertificateCorpus
+        from repro.dns.snapshots import SnapshotStore
+
+        corpus = CertificateCorpus()
+        corpus.ingest(list(bundle.corpus.certificates())[:40])
+        store = SnapshotStore()
+        for scan_day in bundle.dns_snapshots.days()[:2]:
+            store.put(bundle.dns_snapshots.get(scan_day))
+        return DatasetBundle(
+            corpus=corpus,
+            crls=bundle.crls[:3],
+            whois_creation_pairs=bundle.whois_creation_pairs[:25],
+            dns_snapshots=store,
+            windows=bundle.windows,
+        )
+
+    def _dataset(self, tiny_bundle):
+        return Dataset.from_bundle(tiny_bundle, rows_per_segment=3)
+
+    def test_column_iteration_equals_indexed_access(self, tiny_bundle):
+        from repro.data import schema
+
+        dataset = self._dataset(tiny_bundle)
+        kinds = set()
+        for name in schema.TABLE_NAMES:
+            table = dataset.table(name)
+            assert table.rows > 3
+            for column_name, kind in schema.COLUMNS[name]:
+                column = table.column(column_name)
+                assert list(column) == [column[row] for row in range(table.rows)]
+                kinds.add(kind)
+        assert kinds == {"i64", "str", "json"}
+
+    def test_table_row_helpers_equal_indexed_access(self, tiny_bundle):
+        from repro.data import schema
+
+        dataset = self._dataset(tiny_bundle)
+        revocations = dataset.revocations
+        issuers = revocations.column("issuer_name")
+        akids = revocations.column("authority_key_id")
+        assert list(revocations.issuer_rows()) == [
+            (row, issuers[row], akids[row]) for row in range(revocations.rows)
+        ]
+        columns = revocations.columns(("serial", "revocation_day", "reason"))
+        assert [revocations.entry(row) for row in range(revocations.rows)] == [
+            schema.revocation_entry_at(columns, row) for row in range(revocations.rows)
+        ]
+        assert dataset.whois.pairs() == list(tiny_bundle.whois_creation_pairs)
+
+    def test_certificates_equal_per_row_hydration(self, tiny_bundle):
+        dataset = self._dataset(tiny_bundle)
+        dataset.certs.certificate(4)  # a pre-hydrated row mid-segment
+        streamed = list(dataset.certs.certificates())
+        certs = self._dataset(tiny_bundle).certs
+        indexed = [certs.certificate(row) for row in range(certs.rows)]
+        assert len(streamed) == len(tiny_bundle.corpus) > 3
+        assert streamed == indexed
+        seeded = [row for row, c in enumerate(streamed) if "_e2lds" in c.__dict__]
+        assert seeded == [row for row in range(len(streamed)) if row != 4]
+        assert [c.e2lds() for c in streamed] == [c.e2lds() for c in indexed]
+        assert all(
+            dataset.certs.certificate(row) is certificate
+            for row, certificate in enumerate(streamed)
+        )
+        assert list(dataset.certs.certificates()) == streamed

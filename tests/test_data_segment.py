@@ -153,6 +153,16 @@ class TestCorruption:
         with pytest.raises(SegmentFormatError):
             Segment.open(str(path))
 
+    def test_json_cell_holding_two_values(self):
+        # Iteration parses the comma-joined cells as one array, so a cell
+        # that reads as "1,2,3" must not shift the values after it.
+        payload = bytearray(sample_writer().to_bytes())
+        start = payload.index(b'["a"]')
+        payload[start : start + 5] = b"1,2,3"
+        segment = Segment.from_bytes(bytes(payload))
+        with pytest.raises(SegmentFormatError, match="7 values for 5 rows"):
+            list(segment.column("tags"))
+
     def test_format_error_is_valueerror(self):
         assert issubclass(SegmentFormatError, ValueError)
 

@@ -7,10 +7,16 @@ disappearance lookahead read from the snapshots. Both must return the
 same departures, ``removed_targets`` included, on random small stores and
 on simulated worlds. The columnar store's column-kernel views must also
 equal the snapshot-derived views of the same world.
+
+The stream detector folds the same views one scan day at a time. It must
+give the same departures as ``find_departures`` and as the split NS/CNAME
+step it replaced, and a checkpoint taken after any scan day must resume
+to the uninterrupted findings and stats.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -27,7 +33,10 @@ from repro.dns.records import RecordType
 from repro.dns.snapshots import DailySnapshot, SnapshotStore, diff_days
 from repro.ecosystem import streamgen
 from repro.ecosystem.workload import WorldConfig
+from repro.stream import IncrementalManagedTlsDetector
+from repro.stream.events import DnsSnapshotTaken
 from repro.util.dates import day
+from tests.conftest import make_cert
 
 
 def oracle_find_departures(store: SnapshotStore) -> List[Departure]:
@@ -221,6 +230,176 @@ class TestScenarios:
 
 
 # ---------------------------------------------------------------------------
+# the stream fold
+# ---------------------------------------------------------------------------
+
+
+def split_view_departures(store: SnapshotStore) -> List[Departure]:
+    """The split NS/CNAME step the stream detector took before it folded
+    delegation views: each apex keeps its (NS, CNAME) pair, a departure
+    removes the Cloudflare targets of ``(ns_old - ns_new) | (cname_old -
+    cname_new)``, and open lookaheads resolve against each later snapshot
+    first. Kept as a second oracle for :class:`IncrementalManagedTlsDetector`.
+    """
+    departures: List[Departure] = []
+    last: Optional[Dict[str, Tuple[frozenset, frozenset]]] = None
+    pending: List[Tuple[str, int, frozenset, int]] = []
+    for scan_day in store.days():
+        snapshot = store.get(scan_day)
+        current = {
+            apex: (snapshot.get(apex).get(RecordType.NS), snapshot.get(apex).get(RecordType.CNAME))
+            for apex in sorted(snapshot.apexes())
+        }
+        if last is not None:
+            unresolved = []
+            for apex, departure_day, removed, remaining in pending:
+                if apex in current:
+                    ns, cname = current[apex]
+                    if not any(is_cloudflare_delegation(t) for t in ns | cname):
+                        departures.append(Departure(apex, departure_day, removed))
+                elif remaining > 1:
+                    unresolved.append((apex, departure_day, removed, remaining - 1))
+                else:
+                    departures.append(Departure(apex, departure_day, removed))
+            pending = unresolved
+            for apex, (ns_old, cname_old) in last.items():
+                if apex not in current:
+                    removed = frozenset(t for t in ns_old | cname_old if is_cloudflare_delegation(t))
+                    if removed:
+                        pending.append((apex, scan_day, removed, DISAPPEARANCE_LOOKAHEAD_SCANS))
+                    continue
+                ns_new, cname_new = current[apex]
+                removed = frozenset(
+                    t for t in (ns_old - ns_new) | (cname_old - cname_new)
+                    if is_cloudflare_delegation(t)
+                )
+                if removed and not any(is_cloudflare_delegation(t) for t in ns_new | cname_new):
+                    departures.append(Departure(apex, scan_day, removed))
+        last = current
+    departures.extend(Departure(apex, d, removed) for apex, d, removed, _ in pending)
+    return departures
+
+
+class RecordingDetector(IncrementalManagedTlsDetector):
+    """The stream detector, recording each departure it emits."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.departures: List[Departure] = []
+
+    def _emit_departure(self, apex, departure_day, removed):
+        self.departures.append(Departure(apex, departure_day, frozenset(removed)))
+        return super()._emit_departure(apex, departure_day, removed)
+
+
+#: One Cloudflare-managed certificate per apex, valid over every drawn day.
+MANAGED = tuple(
+    make_cert(
+        sans=(f"sni{serial}.cloudflaressl.com", apex, f"www.{apex}"),
+        serial=serial,
+        not_before=FIRST_DAY - 30,
+        lifetime=400,
+        issuer="CloudFlare ECC CA-2",
+    )
+    for serial, apex in enumerate(APEXES, start=501)
+)
+BY_FINGERPRINT = {certificate.dedup_fingerprint(): certificate for certificate in MANAGED}
+
+
+def view_events(store: SnapshotStore) -> List[DnsSnapshotTaken]:
+    return [
+        DnsSnapshotTaken(day=scan_day, sequence=sequence, view=view)
+        for sequence, (scan_day, view) in enumerate(store.delegation_views())
+    ]
+
+
+def run_fold(events, detector=None) -> RecordingDetector:
+    """Feed *events* to a fresh (or restored) detector, then finalize."""
+    if detector is None:
+        detector = RecordingDetector()
+    for certificate in MANAGED:
+        detector.register_certificate(certificate)
+    for event in events:
+        detector.consume(event)
+    detector.finalize()
+    return detector
+
+
+def canonical(detector: IncrementalManagedTlsDetector):
+    return sorted(
+        (f.certificate.dedup_fingerprint(), f.affected_domain, f.invalidation_day, f.detail)
+        for f in detector.findings()
+    )
+
+
+def kill_and_resume(events, kill_after: int) -> Tuple[RecordingDetector, RecordingDetector]:
+    """Run *kill_after* events, checkpoint through JSON, resume the rest."""
+    first = RecordingDetector()
+    for certificate in MANAGED:
+        first.register_certificate(certificate)
+    for event in events[:kill_after]:
+        first.consume(event)
+    state = json.loads(json.dumps(first.checkpoint_state(), sort_keys=True))
+    resumed = RecordingDetector()
+    resumed.restore_state(state, BY_FINGERPRINT.__getitem__)
+    return first, run_fold(events[kill_after:], resumed)
+
+
+class TestStreamFold:
+    @settings(max_examples=300, deadline=None)
+    @given(small_stores())
+    def test_same_departures_as_batch_fold(self, store):
+        detector = run_fold(view_events(store))
+        departures = find_departures(store)
+        assert _in_order(detector.departures) == departures
+        assert _in_order(split_view_departures(store)) == departures
+        assert detector.stats.departures_detected == len(departures)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_stores())
+    def test_kill_resume_at_every_scan_day(self, store):
+        events = view_events(store)
+        uninterrupted = run_fold(events)
+        for kill_after in range(1, len(events)):
+            first, resumed = kill_and_resume(events, kill_after)
+            assert canonical(resumed) == canonical(uninterrupted)
+            assert first.departures + resumed.departures == uninterrupted.departures
+            assert resumed.stats == uninterrupted.stats
+
+    @pytest.mark.parametrize("name", sorted(n for n in SCENARIOS if n.startswith("gap_")))
+    def test_resume_with_open_lookahead(self, name):
+        timeline, expected = SCENARIOS[name]
+        days = [FIRST_DAY + position for position in range(len(timeline))]
+        events = view_events(build_store(days, {"alpha.com": timeline}))
+        uninterrupted = run_fold(events)
+        assert len(uninterrupted.departures) == len(expected)
+        # The gap starts on the second scan; its lookahead stays open for
+        # DISAPPEARANCE_LOOKAHEAD_SCANS scans or until the apex is seen.
+        for kill_after in range(2, min(len(events), 2 + DISAPPEARANCE_LOOKAHEAD_SCANS)):
+            first, resumed = kill_and_resume(events, kill_after)
+            assert first.pending_departures() == 1
+            assert canonical(resumed) == canonical(uninterrupted)
+            assert resumed.stats == uninterrupted.stats
+
+    def test_last_view_keeps_only_cloudflare_apexes(self):
+        days = [FIRST_DAY, FIRST_DAY + 1]
+        store = build_store(
+            days,
+            {
+                "alpha.com": [(OTHER, NONE), (CF | OTHER, CF_CNAME)],
+                "beta.net": [(CF, NONE), (OTHER, NONE)],
+                "gamma.org": [(CF, NONE), (NONE, NONE)],
+            },
+        )
+        detector = RecordingDetector()
+        for event in view_events(store):
+            detector.consume(event)
+        assert detector.checkpoint_state()["last_view"] == {
+            "alpha.com": sorted(CF | CF_CNAME)
+        }
+
+
+# ---------------------------------------------------------------------------
 # simulated worlds
 # ---------------------------------------------------------------------------
 
@@ -243,6 +422,14 @@ class TestWorlds:
         departures = find_departures(store)
         assert departures, "the seed world should contain departures"
         assert departures == _in_order(oracle_find_departures(store))
+
+    def test_stream_fold_matches_batch_fold(self, streamed_world_dir):
+        store = open_bundle(streamed_world_dir).dns_snapshots
+        detector = RecordingDetector()
+        for event in view_events(store):
+            detector.consume(event)
+        detector.finalize()
+        assert _in_order(detector.departures) == find_departures(store)
 
     def test_multi_segment_store_matches_in_memory(self, small_world, tmp_path):
         memory_store = small_world.to_bundle().dns_snapshots

@@ -6,6 +6,9 @@ run — which itself equals the batch pipeline. Also covers the checkpoint
 store itself: atomicity, format versioning, and bundle-mismatch detection.
 """
 
+import gzip
+import io
+import json
 import os
 
 import pytest
@@ -16,11 +19,12 @@ from repro.stream import (
     CheckpointMismatchError,
     CheckpointStore,
     StreamEngine,
+    build_event_stream,
     canonical_findings,
     verify_equivalence,
 )
 from repro.stream.checkpoint import CHECKPOINT_FORMAT_VERSION
-from repro.util.storage import dump_json
+from repro.util.storage import dump_json, load_json
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +207,133 @@ class TestCorruptCheckpoints:
             StreamEngine(
                 small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
             ).replay(resume=True)
+
+
+def _managed_tls_batch_stats(bundle):
+    from repro.core.detectors.managed_tls import ManagedTlsDetector
+
+    detector = ManagedTlsDetector(bundle.corpus)
+    detector.detect(bundle.dns_snapshots)
+    return detector.stats
+
+
+class TestManagedTlsStatsAcrossResume:
+    """Regression: restore_state reset the managed-TLS departure counter,
+    so after a resume the stream stats undercounted the batch detector's."""
+
+    @pytest.mark.parametrize("window_fraction", [0.3, 0.7])
+    def test_stats_equal_uninterrupted_and_batch(
+        self, small_bundle, cutoff, tmp_path, window_fraction
+    ):
+        # Kill inside the DNS scan window, so departures fall on both sides.
+        event_days = sorted({event.day for event in build_event_stream(small_bundle)})
+        scan_days = small_bundle.dns_snapshots.days()
+        kill_day = scan_days[int(len(scan_days) * window_fraction)]
+        store = CheckpointStore(str(tmp_path))
+        killed = StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        )
+        killed.replay(max_days=event_days.index(kill_day) + 1)
+        assert killed._mt.stats.departures_detected > 0
+        resumed = StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        )
+        assert resumed.replay(resume=True).complete
+        uninterrupted = StreamEngine(small_bundle, revocation_cutoff_day=cutoff)
+        uninterrupted.replay()
+        batch = _managed_tls_batch_stats(small_bundle)
+        assert batch.departures_detected > killed._mt.stats.departures_detected
+        assert resumed._mt.stats == uninterrupted._mt.stats == batch
+
+
+def _json_dump_bytes(obj) -> bytes:
+    """What ``json.dump`` wrote for dump_json before it used ``json.dumps``."""
+    buffer = io.StringIO()
+    json.dump(obj, buffer, separators=(",", ":"), sort_keys=True)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestCheckpointFormatV2:
+    def _write_v1(self, small_bundle, cutoff, directory):
+        """A real checkpoint, rewritten in the v1 layout (split NS/CNAME
+        ``last_view``, no departure counter)."""
+        store = CheckpointStore(directory)
+        StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        ).replay(max_days=60)
+        document = store.load()
+        managed_tls = document["detectors"]["managed_tls"]
+        managed_tls["last_view"] = {
+            apex: {"ns": targets, "cname": []}
+            for apex, targets in managed_tls["last_view"].items()
+        }
+        managed_tls["have_snapshot"] = True
+        del managed_tls["departures_detected"]
+        document["format_version"] = 1
+        dump_json(store.path, document)
+        return store
+
+    def test_v1_checkpoint_refused(self, small_bundle, cutoff, tmp_path):
+        store = self._write_v1(small_bundle, cutoff, str(tmp_path))
+        with pytest.raises(CheckpointMismatchError, match="v1"):
+            store.load()
+        with pytest.raises(CheckpointMismatchError):
+            StreamEngine(
+                small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+            ).replay(resume=True)
+
+    def test_watch_resume_on_v1_checkpoint_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["--scale", "0.02", "--seed", "7"]
+        ckpt = str(tmp_path / "ckpt")
+        assert main(args + ["watch", "--days", "60", "--checkpoint-dir", ckpt]) == 0
+        document = CheckpointStore(ckpt).load()
+        document["format_version"] = 1
+        dump_json(CheckpointStore(ckpt).path, document)
+        capsys.readouterr()
+        assert main(args + ["watch", "--checkpoint-dir", ckpt, "--resume"]) == 2
+        assert "format v1" in capsys.readouterr().err
+
+    def test_last_view_holds_only_cloudflare_apexes(self, small_bundle, cutoff, tmp_path):
+        from repro.core.detectors.managed_tls import is_cloudflare_delegation
+
+        store = CheckpointStore(str(tmp_path))
+        StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        ).replay()
+        last_view = store.load()["detectors"]["managed_tls"]["last_view"]
+        last_day, view = small_bundle.dns_snapshots.delegation_views()[-1]
+        expected = {
+            apex: sorted(t for t in targets if is_cloudflare_delegation(t))
+            for apex, targets in view.items()
+            if any(is_cloudflare_delegation(t) for t in targets)
+        }
+        assert last_view and len(last_view) < len(view)
+        assert last_view == expected
+
+    def test_dump_json_bytes_unchanged_for_checkpoint(self, small_bundle, cutoff, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        ).replay(max_days=200)
+        document = store.load()
+        with gzip.open(store.path, "rb") as handle:
+            written = handle.read()
+        assert written == _json_dump_bytes(document)
+        path = dump_json(str(tmp_path / "again.json.gz"), document)
+        assert load_json(path) == document
+
+    def test_dump_json_bytes_unchanged_for_pipeline_result(self, small_bundle, cutoff, tmp_path):
+        from repro.core.pipeline import MeasurementPipeline, PipelineResult
+
+        result = MeasurementPipeline(small_bundle, revocation_cutoff_day=cutoff).run()
+        for name in ("findings.json", "findings.json.gz"):
+            path = result.to_json(str(tmp_path / name))
+            with (gzip.open if name.endswith(".gz") else open)(path, "rb") as handle:
+                written = handle.read()
+            payload = load_json(path)
+            assert written == _json_dump_bytes(payload)
+            assert canonical_findings(PipelineResult.from_json(path).findings) == (
+                canonical_findings(result.findings)
+            )

@@ -44,7 +44,8 @@ def snapshot_event(scan_day, observations):
     for apex, by_type in observations.items():
         for rtype, values in by_type.items():
             snapshot.observe(apex, rtype, values)
-    return DnsSnapshotTaken(day=scan_day, snapshot=snapshot)
+    view = {apex: snapshot.get(apex).delegation_targets() for apex in snapshot.apexes()}
+    return DnsSnapshotTaken(day=scan_day, view=view)
 
 
 def managed_cert(domain="cust.com", serial=301, not_before=day(2020, 6, 1), lifetime=730):

@@ -40,7 +40,7 @@ class TestOrdering:
     def test_same_day_dispatch_priority(self):
         cert = make_cert(not_before=T0)
         events = [
-            DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)),
+            DnsSnapshotTaken(day=T0, view={}),
             WhoisCreationObserved(day=T0, domain="a.com", creation_day=T0),
             CrlDeltaPublished(day=T0, authority_key_id="akid"),
             CtEntryLogged(day=T0, certificate=cert),
@@ -55,7 +55,7 @@ class TestOrdering:
 
     def test_day_dominates_priority(self):
         late_ct = CtEntryLogged(day=T0 + 1, certificate=make_cert(not_before=T0 + 1))
-        early_dns = DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0))
+        early_dns = DnsSnapshotTaken(day=T0, view={})
         assert early_dns.sort_key() < late_ct.sort_key()
 
     def test_sequence_breaks_ties(self):
@@ -100,8 +100,8 @@ class TestEventBus:
         stats = StreamStats()
         bus = EventBus(stats)
         bus.subscribe(EventType.DNS_SNAPSHOT_TAKEN, lambda e: None)
-        bus.publish(DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)))
-        bus.publish(DnsSnapshotTaken(day=T0 + 1, snapshot=DailySnapshot(T0 + 1)))
+        bus.publish(DnsSnapshotTaken(day=T0, view={}))
+        bus.publish(DnsSnapshotTaken(day=T0 + 1, view={}))
         bus.drain()
         assert stats.events_by_type == {EventType.DNS_SNAPSHOT_TAKEN.value: 2}
         assert stats.max_queue_depth == 2
