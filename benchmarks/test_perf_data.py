@@ -1,16 +1,17 @@
-"""Performance benchmark — columnar data plane vs legacy JSONL bundles.
+"""Performance benchmark — columnar cold detect vs the in-memory bundle.
 
-Not a paper experiment: quantifies the payoff of the ``repro.data``
-columnar segment layout. Two gates, both against the same bench world
-saved in both layouts:
+Not a paper experiment: quantifies what reading the bench world back
+from its saved columnar segments costs, against running the same batch
+pipeline on the in-memory :class:`~repro.core.pipeline.DatasetBundle`
+the segments were written from.
 
-* **bundle-load** — ``open_bundle`` on a columnar directory maps
-  segments lazily (header validation only), while the legacy path
-  parses every JSONL record up front; opening must be >= 2x faster.
-* **cold detect** — end-to-end ``open_bundle`` + batch pipeline run.
-  The columnar side hydrates only the rows the detectors touch (index
-  lookups + interned DNS observations), so the whole cold run must
-  also be >= 2x faster — at *identical* findings, checked canonically.
+* **bundle-open** — ``open_bundle`` maps segments lazily (header
+  validation only), so it is reported on its own.
+* **cold detect** — end-to-end ``open_bundle`` + batch pipeline run,
+  which hydrates only the rows the detectors touch (index lookups +
+  interned DNS observations). Its findings must be *identical* to the
+  in-memory run, checked canonically; the time ratio is reported, not
+  gated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from time import perf_counter
 
 from repro import MeasurementPipeline
 from repro.analysis.report import render_table
-from repro.data import open_bundle, save_legacy_bundle, write_dataset
+from repro.data import open_bundle, write_dataset
 from repro.stream import canonical_findings
 
 ROUNDS = 2
@@ -36,59 +37,40 @@ def _best_of(fn, rounds=ROUNDS):
     return best, result
 
 
-def test_perf_columnar_vs_legacy(bench_world, emit_report, tmp_path_factory):
+def test_perf_columnar_vs_in_memory(bench_world, emit_report, tmp_path_factory):
     bundle = bench_world.to_bundle()
     cutoff = bench_world.config.timeline.revocation_cutoff
-    legacy_dir = str(tmp_path_factory.mktemp("perf-legacy"))
     columnar_dir = str(tmp_path_factory.mktemp("perf-columnar"))
-    save_legacy_bundle(bundle, legacy_dir)
     write_dataset(bundle, columnar_dir)
 
-    legacy_open_seconds, _ = _best_of(lambda: open_bundle(legacy_dir))
-    columnar_open_seconds, _ = _best_of(lambda: open_bundle(columnar_dir))
+    open_seconds, _ = _best_of(lambda: open_bundle(columnar_dir))
 
-    def cold_detect(directory):
-        opened = open_bundle(directory)
-        return MeasurementPipeline(
-            opened, revocation_cutoff_day=cutoff
-        ).run()
+    def detect(source):
+        return MeasurementPipeline(source, revocation_cutoff_day=cutoff).run()
 
-    legacy_detect_seconds, legacy_result = _best_of(
-        lambda: cold_detect(legacy_dir)
-    )
-    columnar_detect_seconds, columnar_result = _best_of(
-        lambda: cold_detect(columnar_dir)
+    memory_seconds, memory_result = _best_of(lambda: detect(bundle))
+    columnar_seconds, columnar_result = _best_of(
+        lambda: detect(open_bundle(columnar_dir))
     )
 
     assert canonical_findings(columnar_result.findings) == canonical_findings(
-        legacy_result.findings
+        memory_result.findings
     ), "columnar bundle changed the findings — speed is irrelevant"
 
-    open_speedup = legacy_open_seconds / columnar_open_seconds
-    detect_speedup = legacy_detect_seconds / columnar_detect_seconds
     emit_report(
         "perf_data",
         render_table(
             ["Quantity", "Value"],
             [
-                ("findings (both layouts)",
-                 f"{len(list(legacy_result.findings.all_findings())):,}"),
-                ("legacy open seconds", f"{legacy_open_seconds:.3f}"),
-                ("columnar open seconds", f"{columnar_open_seconds:.3f}"),
-                ("open speedup", f"{open_speedup:.1f}x"),
-                ("legacy cold-detect seconds", f"{legacy_detect_seconds:.2f}"),
-                ("columnar cold-detect seconds",
-                 f"{columnar_detect_seconds:.2f}"),
-                ("cold-detect speedup", f"{detect_speedup:.2f}x"),
+                ("findings (both sources)",
+                 f"{len(list(memory_result.findings.all_findings())):,}"),
+                ("columnar open seconds", f"{open_seconds:.3f}"),
+                ("in-memory detect seconds", f"{memory_seconds:.2f}"),
+                ("columnar cold-detect seconds", f"{columnar_seconds:.2f}"),
+                ("cold-detect / in-memory",
+                 f"{columnar_seconds / memory_seconds:.2f}x"),
             ],
-            title="Performance: columnar data plane vs legacy JSONL bundles "
+            title="Performance: columnar cold detect vs in-memory bundle "
             "(bench world)",
         ),
-    )
-
-    assert open_speedup >= 2.0, (
-        f"columnar open only {open_speedup:.2f}x faster than legacy load"
-    )
-    assert detect_speedup >= 2.0, (
-        f"columnar cold detect only {detect_speedup:.2f}x faster than legacy"
     )

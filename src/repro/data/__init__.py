@@ -3,8 +3,7 @@
 One API for every engine that consumes a saved
 :class:`~repro.core.pipeline.DatasetBundle`:
 
-* :func:`open_bundle` — open a bundle directory in whichever layout it
-  uses (columnar segments or the legacy JSONL dict format);
+* :func:`open_bundle` — open a saved bundle directory as a lazy bundle;
 * :class:`Dataset` — typed table handles (``certs`` / ``revocations`` /
   ``whois`` / ``dns``) with ``scan()``, ``lookup()``,
   ``interval_query()`` over memory-mapped columnar segments;
@@ -13,25 +12,19 @@ One API for every engine that consumes a saved
   append schema-shaped rows as they are generated (the streaming world
   generator's sink), with :class:`AppendSegmentWriter` /
   :class:`ExternalSorter` as the spill-to-disk building blocks;
-* :func:`convert` / :func:`check_equivalent` — migrate between layouts
-  with a round-trip equality check;
-* :func:`save_legacy_bundle` / :func:`load_legacy_bundle` — the legacy
-  layout, kept for compatibility (direct use outside this package is
-  flagged by lint rule RL601).
+* :func:`check_equivalent` — field-wise equality of two saved bundles.
 """
 
 from repro.data.append import AppendSegmentWriter, ExternalSorter
-from repro.data.convert import check_equivalent, convert
+from repro.data.compare import check_equivalent
 from repro.data.streamwrite import StreamingDatasetWriter, write_rows_dataset
 from repro.data.dataset import (
     DATASET_MANIFEST,
     DEFAULT_ROWS_PER_SEGMENT,
     Dataset,
-    detect_layout,
     open_bundle,
     write_dataset,
 )
-from repro.data.legacy import load_legacy_bundle, save_legacy_bundle
 from repro.data.segment import Segment, SegmentFormatError, SegmentWriter
 
 __all__ = [
@@ -45,11 +38,7 @@ __all__ = [
     "SegmentWriter",
     "StreamingDatasetWriter",
     "check_equivalent",
-    "convert",
-    "detect_layout",
-    "load_legacy_bundle",
     "open_bundle",
-    "save_legacy_bundle",
     "write_dataset",
     "write_rows_dataset",
 ]

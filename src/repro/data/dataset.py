@@ -35,8 +35,7 @@ On-disk layout::
       idx-<table>-interval.seg  # sorted (start, end, row)
 
 A missing directory or file raises ``OSError``; a malformed manifest or
-segment raises ``ValueError`` — exactly the error contract of the legacy
-JSONL loader, so the CLI's exit-2 mapping covers both layouts.
+segment raises ``ValueError``; the CLI maps both to exit code 2.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 
 from repro.core.stale import StalenessClass
 from repro.data import schema
-from repro.data.segment import MAGIC, Segment, SegmentFormatError, SegmentWriter
+from repro.data.segment import Segment, SegmentFormatError, SegmentWriter
 from repro.obs import get_registry, names
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
@@ -635,7 +634,7 @@ def _index_writer(
 
 def _deduplicated_revocation_rows(crls) -> List[Tuple[str, str, int, int, str]]:
     """(issuer, akid, serial, day, reason) rows, first record per
-    (akid, serial) kept — byte-identical to the legacy JSONL dedup."""
+    (akid, serial) kept, in CRL then entry order."""
     seen: set = set()
     rows: List[Tuple[str, str, int, int, str]] = []
     for crl in crls:
@@ -837,56 +836,11 @@ def write_dataset(
     return {name: spec["rows"] for name, spec in manifest["tables"].items()}
 
 
-# ---------------------------------------------------------------------------
-# layout detection
-# ---------------------------------------------------------------------------
-
-LEGACY_MANIFEST = "manifest.json"
-
-
-def detect_layout(directory: str) -> Optional[str]:
-    """``"columnar"``, ``"legacy"``, or ``None`` for *directory*.
-
-    Columnar wins on either the ``dataset.json`` manifest or any
-    ``*.seg`` file carrying the segment header magic; legacy is the
-    JSONL layout's ``manifest.json``.
-    """
-    if os.path.isfile(os.path.join(directory, DATASET_MANIFEST)):
-        return "columnar"
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        return None
-    for filename in entries:
-        if filename.endswith(".seg"):
-            try:
-                with open(os.path.join(directory, filename), "rb") as handle:
-                    if handle.read(len(MAGIC)) == MAGIC:
-                        return "columnar"
-            except OSError:
-                continue
-    if os.path.isfile(os.path.join(directory, LEGACY_MANIFEST)):
-        return "legacy"
-    return None
-
-
 def open_bundle(directory: str):
-    """Open whichever bundle layout lives at *directory*.
+    """Open the columnar bundle at *directory* as a lazy
+    :class:`~repro.data.bundle.ColumnarBundle`.
 
-    Columnar directories come back as a lazy
-    :class:`~repro.data.bundle.ColumnarBundle`; legacy directories load
-    eagerly through the JSONL reader. Missing directories raise
-    ``OSError``, corrupt ones ``ValueError`` — one error contract for
-    both layouts.
+    A missing directory or manifest raises ``OSError``; a malformed
+    manifest or segment raises ``ValueError``.
     """
-    layout = detect_layout(directory)
-    if layout == "columnar":
-        return Dataset.open(directory).to_bundle()
-    if layout == "legacy":
-        from repro.data.legacy import load_legacy_bundle
-
-        return load_legacy_bundle(directory)
-    raise FileNotFoundError(
-        f"{directory}: no bundle found (neither {DATASET_MANIFEST} nor "
-        f"{LEGACY_MANIFEST} is present)"
-    )
+    return Dataset.open(directory).to_bundle()

@@ -6,12 +6,11 @@ declares its column kinds (``i64`` / ``str`` / ``json``), the interval
 columns its day-range queries sweep, and the row↔object codecs the
 :class:`~repro.data.dataset.Dataset` tables use for hydration.
 
-Hydration goes through the same constructors
+Hydration goes through the domain constructors
 (:class:`~repro.pki.certificate.Certificate`,
-:class:`~repro.revocation.crl.CrlEntry`, ...) the legacy JSONL loader
-uses, so a certificate read from a segment is value-identical — same
-dedup fingerprint, same normalization — to one read from
-``corpus.jsonl.gz``.
+:class:`~repro.revocation.crl.CrlEntry`, ...), so a certificate read
+from a segment is value-identical — same dedup fingerprint, same
+normalization — to the one that was saved.
 
 The certificates table carries one *derived* column, ``e2lds`` (the
 sorted registered-domain list per certificate), so the shard

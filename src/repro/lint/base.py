@@ -453,8 +453,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in code order."""
-    import repro.lint.rules_data  # noqa: F401  (registration side effect)
-    import repro.lint.rules_determinism  # noqa: F401
+    import repro.lint.rules_determinism  # noqa: F401  (registration side effect)
     import repro.lint.rules_except  # noqa: F401
     import repro.lint.rules_flow  # noqa: F401
     import repro.lint.rules_forksafety  # noqa: F401

@@ -213,6 +213,42 @@ class TestCommands:
         assert "simulating world" not in second.err
         assert second.out == first.out
 
+    def test_detect_bundle_into_empty_dir_saves(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        bundle_dir.mkdir()
+        assert main(ARGS + ["detect", "--bundle", str(bundle_dir)]) == 0
+        assert "saved bundle" in capsys.readouterr().err
+        assert (bundle_dir / "dataset.json").is_file()
+
+    @staticmethod
+    def _contents(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            # Unrelated files: never a place to save a simulated world.
+            {"notes.txt": b"keep me\n"},
+            # A leftover of some other format: no bundle manifest at all.
+            {"manifest.json": b"{}", "corpus.jsonl.gz": b"\x1f\x8b"},
+            # A torn bundle: segments whose manifest was never written.
+            {"certs-000.seg": b"RSEG" + bytes(28)},
+        ],
+        ids=["unrelated", "foreign", "torn"],
+    )
+    def test_detect_bundle_unopenable_dir_exits_2_untouched(
+        self, tmp_path, capsys, files
+    ):
+        bundle_dir = tmp_path / "bundle"
+        bundle_dir.mkdir()
+        for name, payload in files.items():
+            (bundle_dir / name).write_bytes(payload)
+        assert main(ARGS + ["detect", "--bundle", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot open bundle {bundle_dir}" in err
+        assert "simulating world" not in err
+        assert self._contents(bundle_dir) == files
+
     def test_lifetime_accepts_workers(self, capsys):
         assert main(ARGS + ["lifetime", "--caps", "90", "--workers", "2"]) == 0
         assert "OVERALL" in capsys.readouterr().out
@@ -305,19 +341,6 @@ class TestServe:
         captured = capsys.readouterr()
         assert "loading bundle" in captured.err
         assert "simulating world" not in captured.err
-
-    def test_corrupt_bundle_exits_2(self, tmp_path, capsys):
-        import gzip
-        import os
-
-        bundle_dir = str(tmp_path / "bundle")
-        assert main(ARGS + ["save", "--layout", "legacy",
-                            "--dir", bundle_dir]) == 0
-        capsys.readouterr()
-        with gzip.open(os.path.join(bundle_dir, "corpus.jsonl.gz"), "wt") as f:
-            f.write("not json\n")
-        assert main(ARGS + ["serve", "--bundle", bundle_dir, "--warm-check"]) == 2
-        assert "cannot build serving index" in capsys.readouterr().err
 
     def test_corrupt_columnar_bundle_exits_2(self, tmp_path, capsys):
         import glob

@@ -1,4 +1,4 @@
-"""Dataset access API: scans, zone-map pruning, indexes, layout detection.
+"""Dataset access API: round trips, scans, zone-map pruning, indexes.
 
 Pruning correctness is proven against brute force: whatever a
 zone-map-pruned ``scan`` yields must equal filtering every row. The
@@ -17,9 +17,7 @@ from repro.data import (
     DATASET_MANIFEST,
     Dataset,
     SegmentFormatError,
-    detect_layout,
     open_bundle,
-    save_legacy_bundle,
     write_dataset,
 )
 
@@ -41,6 +39,12 @@ def dataset_dir(bundle, tmp_path_factory):
 @pytest.fixture()
 def dataset(dataset_dir):
     with Dataset.open(dataset_dir) as handle:
+        yield handle
+
+
+@pytest.fixture()
+def opened(dataset_dir):
+    with open_bundle(dataset_dir) as handle:
         yield handle
 
 
@@ -68,6 +72,36 @@ class TestOpen:
         assert [c.dedup_fingerprint() for c in rebuilt] == [
             c.dedup_fingerprint() for c in original
         ]
+
+    def test_whois_pairs_round_trip(self, opened, bundle):
+        assert opened.whois_creation_pairs == bundle.whois_creation_pairs
+
+    def test_crl_entries_round_trip(self, opened, bundle):
+        """Every (akid, serial) comes back once, with its first record."""
+        expected = {}
+        for crl in bundle.crls:
+            for entry in crl.entries:
+                expected.setdefault(
+                    (crl.authority_key_id, entry.serial), (crl.issuer_name, entry)
+                )
+        rebuilt = {
+            (crl.authority_key_id, entry.serial): (crl.issuer_name, entry)
+            for crl in opened.crls
+            for entry in crl.entries
+        }
+        assert sum(len(crl.entries) for crl in opened.crls) == len(expected)
+        assert rebuilt == expected
+
+    def test_dns_scan_days_round_trip(self, opened, bundle):
+        assert opened.dns_snapshots.days() == bundle.dns_snapshots.days()
+
+    def test_dns_records_round_trip(self, opened, bundle):
+        for scan_day in bundle.dns_snapshots.days():
+            original = bundle.dns_snapshots.get(scan_day)
+            rebuilt = opened.dns_snapshots.get(scan_day)
+            assert rebuilt.apexes() == original.apexes(), scan_day
+            for apex in original.apexes():
+                assert rebuilt.get(apex).rdatas == original.get(apex).rdatas
 
 
 class TestScanPruning:
@@ -144,22 +178,11 @@ class TestIndexes:
             dataset.certs.lookup("no-such-index", ("x",))
 
 
-class TestLayoutDetection:
-    def test_columnar_layout(self, dataset_dir):
-        assert detect_layout(dataset_dir) == "columnar"
-
-    def test_legacy_layout(self, bundle, tmp_path):
-        save_legacy_bundle(bundle, str(tmp_path))
-        assert detect_layout(str(tmp_path)) == "legacy"
-
-    def test_unknown_layout(self, tmp_path):
-        assert detect_layout(str(tmp_path)) is None
-
-    def test_open_bundle_reads_both_layouts(self, bundle, dataset_dir, tmp_path):
-        save_legacy_bundle(bundle, str(tmp_path))
-        legacy = open_bundle(str(tmp_path))
-        columnar = open_bundle(dataset_dir)
-        assert len(columnar.corpus) == len(legacy.corpus) == len(bundle.corpus)
+class TestOpenBundle:
+    def test_open_bundle_reads_a_saved_dir(self, bundle, dataset_dir):
+        with open_bundle(dataset_dir) as opened:
+            assert len(opened.corpus) == len(bundle.corpus)
+            assert opened.windows == bundle.windows
 
     def test_open_bundle_on_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

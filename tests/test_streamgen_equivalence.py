@@ -170,12 +170,3 @@ class TestCliStreamedSave:
             metrics_text = handle.read()
         assert "repro_gen_shards 2" in metrics_text
         assert 'repro_gen_rows_total{table="certs"}' in metrics_text
-
-    def test_save_gen_shards_rejects_legacy_layout(self, tmp_path):
-        proc = self._run(
-            tmp_path,
-            "--scale", "0.01", "--gen-shards", "2",
-            "--dir", str(tmp_path / "nope"), "--layout", "legacy",
-        )
-        assert proc.returncode == 2
-        assert "columnar" in proc.stderr
