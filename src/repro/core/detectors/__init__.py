@@ -11,11 +11,11 @@ Each detector mirrors one methodology subsection of the paper:
   Cloudflare NS/CNAME delegation for domains holding Cloudflare-managed
   certificates.
 
-All three (and their incremental streaming counterparts in
-:mod:`repro.stream.detectors`) satisfy the :class:`Detector` protocol:
-``detect(inputs, findings)`` plus a ``stats`` accounting attribute. The
-batch pipeline and the stream engine iterate detector registries of this
-shape rather than hard-coding the classes.
+All three satisfy the :class:`Detector` protocol: ``detect(inputs,
+findings)`` plus a ``stats`` accounting attribute, which the batch and
+sharded pipelines iterate through the detector registry. Each module also
+holds its class's join steps as functions; the incremental wrappers in
+:mod:`repro.stream.detectors` call the same ones an event at a time.
 """
 
 from repro.core.detectors.base import Detector

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ct.dedup import CertificateCorpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.pki.certificate import Certificate
 from repro.revocation.crl import CertificateRevocationList, CrlEntry, merge_crl_series
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import Day
@@ -41,6 +42,24 @@ class RevocationJoinStats:
     filtered_revoked_after_expiration: int = 0
     filtered_before_cutoff: int = 0
     survivors: int = 0
+
+    def record(
+        self,
+        entry: CrlEntry,
+        certificate: Optional[Certificate],
+        cutoff: Optional[Day],
+        apply_filters: bool = True,
+    ) -> bool:
+        """Count one merged CRL entry and its CT match (``None``: no
+        match); returns whether it survives the outlier filters."""
+        if certificate is None:
+            self.unmatched += 1
+            return False
+        self.matched_in_ct += 1
+        reason = filter_reason(entry, certificate, cutoff) if apply_filters else None
+        counter = reason or "survivors"
+        setattr(self, counter, getattr(self, counter) + 1)
+        return reason is None
 
 
 class KeyCompromiseDetector:
@@ -74,45 +93,49 @@ class KeyCompromiseDetector:
         index = self._corpus.by_revocation_key()
         for key, entry in merged.items():
             certificate = index.get(key)
-            if certificate is None:
-                self.stats.unmatched += 1
-                continue
-            self.stats.matched_in_ct += 1
-            if apply_filters and not self._passes_filters(entry, certificate):
-                continue
-            self.stats.survivors += 1
-            invalidation_day = max(entry.revocation_day, certificate.not_before)
-            invalidation_day = min(invalidation_day, certificate.not_after)
-            out.add(
-                StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.REVOKED_ALL,
-                    invalidation_day=invalidation_day,
-                    detail=f"reason={entry.reason.name.lower()}",
-                )
-            )
-            if entry.reason is RevocationReason.KEY_COMPROMISE:
-                out.add(
-                    StaleCertificate(
-                        certificate=certificate,
-                        staleness_class=StalenessClass.KEY_COMPROMISE,
-                        invalidation_day=invalidation_day,
-                        detail="reason=key_compromise",
-                    )
-                )
+            if self.stats.record(entry, certificate, self._cutoff, apply_filters):
+                out.extend(revocation_findings(entry, certificate))
         return out
 
-    def _passes_filters(self, entry: CrlEntry, certificate) -> bool:
-        if entry.revocation_day < certificate.not_before:
-            self.stats.filtered_revoked_before_valid += 1
-            return False
-        if entry.revocation_day > certificate.not_after:
-            self.stats.filtered_revoked_after_expiration += 1
-            return False
-        if self._cutoff is not None and entry.revocation_day < self._cutoff:
-            self.stats.filtered_before_cutoff += 1
-            return False
-        return True
+
+def filter_reason(
+    entry: CrlEntry, certificate: Certificate, cutoff: Optional[Day]
+) -> Optional[str]:
+    """The step-3 outlier filter *entry* fails, as the
+    :class:`RevocationJoinStats` field that counts it; ``None`` when the
+    revocation survives."""
+    if entry.revocation_day < certificate.not_before:
+        return "filtered_revoked_before_valid"
+    if entry.revocation_day > certificate.not_after:
+        return "filtered_revoked_after_expiration"
+    if cutoff is not None and entry.revocation_day < cutoff:
+        return "filtered_before_cutoff"
+    return None
+
+
+def revocation_findings(entry: CrlEntry, certificate: Certificate) -> List[StaleCertificate]:
+    """Step 4 for one surviving revocation: its ``REVOKED_ALL`` finding,
+    plus a ``KEY_COMPROMISE`` one when that is the reason given."""
+    invalidation_day = max(entry.revocation_day, certificate.not_before)
+    invalidation_day = min(invalidation_day, certificate.not_after)
+    found = [
+        StaleCertificate(
+            certificate=certificate,
+            staleness_class=StalenessClass.REVOKED_ALL,
+            invalidation_day=invalidation_day,
+            detail=f"reason={entry.reason.name.lower()}",
+        )
+    ]
+    if entry.reason is RevocationReason.KEY_COMPROMISE:
+        found.append(
+            StaleCertificate(
+                certificate=certificate,
+                staleness_class=StalenessClass.KEY_COMPROMISE,
+                invalidation_day=invalidation_day,
+                detail="reason=key_compromise",
+            )
+        )
+    return found
 
 
 def monthly_key_compromise_by_issuer(

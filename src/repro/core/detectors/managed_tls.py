@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.ct.dedup import CertificateCorpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
-from repro.dns.snapshots import SnapshotStore
+from repro.dns.snapshots import DelegationView, SnapshotStore
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
 
@@ -55,22 +56,8 @@ def is_cloudflare_delegation(target: str) -> bool:
     return bool(_CLOUDFLARE_DELEGATION_RE.search(target.lower().rstrip(".")))
 
 
-def cloudflare_subsets() -> Callable[[FrozenSet[str]], FrozenSet[str]]:
-    """A memoised ``targets -> Cloudflare subset`` map.
-
-    Delegation views share one frozenset per distinct target set, so each
-    set runs the delegation regex once.
-    """
-    cloudflare_of: Dict[FrozenSet[str], FrozenSet[str]] = {}
-
-    def cloudflare(targets: FrozenSet[str]) -> FrozenSet[str]:
-        subset = cloudflare_of.get(targets)
-        if subset is None:
-            subset = frozenset(t for t in targets if is_cloudflare_delegation(t))
-            cloudflare_of[targets] = subset
-        return subset
-
-    return cloudflare
+def _cloudflare_subset(targets: FrozenSet[str]) -> FrozenSet[str]:
+    return frozenset(t for t in targets if is_cloudflare_delegation(t))
 
 
 @dataclass(frozen=True)
@@ -96,39 +83,145 @@ class DepartureJoinStats:
 DISAPPEARANCE_LOOKAHEAD_SCANS = 3
 
 
-def find_departures(store: SnapshotStore) -> List[Departure]:
-    """Fold the store's delegation views for Cloudflare delegation loss.
+class DepartureFold:
+    """The departure rule, folded one scan day's delegation view at a time.
 
     An apex departs on scan day N+1 when it had Cloudflare targets on day
-    N and, on day N+1, is observed with none left (a partial nameserver
-    shuffle within Cloudflare is not a departure) or is not observed at
-    all. Real daily scans suffer transient lookup failures, and the paper
-    compares each day "with neighboring days": a disappearance only counts
-    when the first observation within the next
-    :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans is off Cloudflare, or there
-    is none. ``removed_targets`` are day N's Cloudflare targets; the result
-    is in (day, apex) order.
+    N and, on day N+1, is observed with none left (a shuffle within
+    Cloudflare is not a departure) or is not observed at all. Scans suffer
+    transient lookup failures, and the paper compares each day "with
+    neighboring days": a disappearance stays pending until the first
+    observation within the next :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans
+    decides it (back on Cloudflare: scan loss), and an exhausted lookahead
+    confirms it. ``removed_targets`` are day N's Cloudflare targets.
+
+    State: ``last_view`` (Cloudflare-delegated apex -> its Cloudflare
+    targets; no other apex can depart), the open ``pending`` records and
+    the ``departures_detected`` count.
     """
-    views = store.delegation_views()
-    cloudflare = cloudflare_subsets()
-    departures: List[Departure] = []
-    for position in range(1, len(views)):
-        departure_day, after = views[position]
-        for apex, targets in views[position - 1][1].items():
-            removed = cloudflare(targets)
-            if not removed:
-                continue
-            if apex in after:
-                if cloudflare(after[apex]):
+
+    def __init__(self) -> None:
+        self.last_view: Dict[str, FrozenSet[str]] = {}
+        self.pending: List[dict] = []
+        self.departures_detected = 0
+        # Views share one frozenset per distinct target set, so memoised,
+        # each set runs the delegation regex once.
+        self._cloudflare = lru_cache(maxsize=None)(_cloudflare_subset)
+
+    def step(self, scan_day: Day, view: DelegationView) -> List[Departure]:
+        """Fold one scan day's view; returns the departures it settles:
+        pendings it resolves first, then new ones in apex order."""
+        cloudflare = self._cloudflare
+        departures: List[Departure] = []
+        unresolved: List[dict] = []
+        for pending in self.pending:  # pendings predate this view
+            targets = view.get(pending["apex"])
+            if targets is None:
+                pending["remaining"] -= 1
+                if pending["remaining"] > 0:
+                    unresolved.append(pending)
                     continue
-            else:
-                lookahead = views[position + 1 : position + 1 + DISAPPEARANCE_LOOKAHEAD_SCANS]
-                first_seen = next((view[apex] for _, view in lookahead if apex in view), None)
-                if first_seen is not None and cloudflare(first_seen):
-                    continue  # back on Cloudflare: transient scan loss
-            departures.append(Departure(apex, departure_day, removed))
+            elif cloudflare(targets):
+                continue  # back on Cloudflare: transient scan loss
+            departures.append(
+                self._depart(pending["apex"], pending["departure_day"], pending["removed"])
+            )
+        self.pending = unresolved
+        for apex in sorted(self.last_view):  # hash-seed-free order
+            targets = view.get(apex)
+            if targets is None:
+                self.pending.append({
+                    "apex": apex,
+                    "departure_day": scan_day,
+                    "removed": sorted(self.last_view[apex]),
+                    "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
+                })
+            elif not cloudflare(targets):
+                departures.append(self._depart(apex, scan_day, self.last_view[apex]))
+        self.last_view = {
+            apex: subset for apex, targets in view.items() if (subset := cloudflare(targets))
+        }
+        return departures
+
+    def flush(self) -> List[Departure]:
+        """Confirm the pendings the scan window ended before resolving."""
+        departures = [
+            self._depart(pending["apex"], pending["departure_day"], pending["removed"])
+            for pending in self.pending
+        ]
+        self.pending = []
+        return departures
+
+    def _depart(self, apex: str, day: Day, removed: Iterable[str]) -> Departure:
+        self.departures_detected += 1
+        return Departure(apex, day, frozenset(removed))
+
+
+def find_departures(store: SnapshotStore) -> List[Departure]:
+    """Run a :class:`DepartureFold` over the store's delegation views; the
+    result is in (day, apex) order."""
+    fold = DepartureFold()
+    views = store.delegation_views()
+    departures = [found for day, view in views for found in fold.step(day, view)]
+    departures += fold.flush()
     departures.sort(key=lambda departure: (departure.departure_day, departure.apex))
     return departures
+
+
+def index_managed(
+    certificates: Iterable[Certificate], index: Dict[str, List[Certificate]]
+) -> Dict[str, List[Certificate]]:
+    """Add each Cloudflare-managed certificate among *certificates* to
+    *index* under every customer domain it covers; returns *index*."""
+    for certificate in certificates:
+        if not is_cloudflare_managed_certificate(certificate):
+            continue
+        for san in sorted(certificate.fqdns()):
+            if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
+                continue  # the CDN's own marker SAN
+            index.setdefault(san, []).append(certificate)
+    return index
+
+
+def indexed_certificate_count(index: Dict[str, List[Certificate]]) -> int:
+    """Distinct certificates in a :func:`index_managed` index."""
+    return len({c.dedup_fingerprint() for certs in index.values() for c in certs})
+
+
+def departure_finding(
+    certificate: Certificate, domain: str, departure_day: Day, detail: str
+) -> StaleCertificate:
+    """The stale-certificate finding for one departed domain."""
+    return StaleCertificate(
+        certificate=certificate,
+        staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
+        invalidation_day=departure_day,
+        affected_domain=domain,
+        detail=detail,
+    )
+
+
+def departure_findings(
+    index: Dict[str, List[Certificate]],
+    departure: Departure,
+    found: Dict[Tuple[str, str, Day], StaleCertificate],
+) -> List[StaleCertificate]:
+    """Join one departure against the managed index: each certificate on
+    the apex or a name beneath it, valid that day, is stale. New findings
+    go into *found* by (fingerprint, domain, day) and are returned."""
+    detail = f"left={','.join(sorted(departure.removed_targets))}"
+    new: List[StaleCertificate] = []
+    for domain, certificates in _domains_under(index, departure.apex):
+        for certificate in certificates:
+            if not certificate.is_valid_on(departure.departure_day):
+                continue
+            key = (certificate.dedup_fingerprint(), domain, departure.departure_day)
+            if key in found:
+                continue
+            finding = departure_finding(certificate, domain, departure.departure_day, detail)
+            found[key] = finding
+            new.append(finding)
+    return new
 
 
 class ManagedTlsDetector:
@@ -136,35 +229,7 @@ class ManagedTlsDetector:
 
     def __init__(self, corpus: CertificateCorpus) -> None:
         self._corpus = corpus
-        self._managed_by_domain: Optional[Dict[str, List[Certificate]]] = None
         self.stats = DepartureJoinStats()
-
-    def _managed(self) -> "Iterable[Certificate]":
-        """The managed certificates, in corpus order.
-
-        Columnar corpora serve these from their precomputed managed-row
-        index; plain corpora scan and filter. Both paths re-check the
-        marker-SAN predicate so the semantics stay in one place.
-        """
-        indexed = getattr(self._corpus, "managed_certificates", None)
-        source = indexed() if indexed is not None else self._corpus.certificates()
-        return (
-            certificate
-            for certificate in source
-            if is_cloudflare_managed_certificate(certificate)
-        )
-
-    def _index(self) -> Dict[str, List[Certificate]]:
-        """Customer domain -> Cloudflare-managed certificates covering it."""
-        if self._managed_by_domain is None:
-            index: Dict[str, List[Certificate]] = {}
-            for certificate in self._managed():
-                for san in sorted(certificate.fqdns()):
-                    if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
-                        continue  # the CDN's own marker SAN
-                    index.setdefault(san, []).append(certificate)
-            self._managed_by_domain = index
-        return self._managed_by_domain
 
     def detect(
         self,
@@ -172,38 +237,23 @@ class ManagedTlsDetector:
         findings: Optional[StaleFindings] = None,
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
-        index = self._index()
-        departures = find_departures(store)
-        self.stats = DepartureJoinStats(
-            managed_certificates_indexed=len(
-                {c.dedup_fingerprint() for certs in index.values() for c in certs}
-            ),
-            departures_detected=len(departures),
+        # Columnar corpora serve the managed rows from a precomputed index;
+        # plain corpora go through every certificate. index_managed
+        # re-checks the marker SAN either way.
+        managed = getattr(self._corpus, "managed_certificates", None)
+        index = index_managed(
+            managed() if managed is not None else self._corpus.certificates(), {}
         )
-        emitted: Set[Tuple[str, str, Day]] = set()
+        departures = find_departures(store)
+        found: Dict[Tuple[str, str, Day], StaleCertificate] = {}
         for departure in departures:
-            for domain, certificates in _domains_under(index, departure.apex):
-                for certificate in certificates:
-                    if not certificate.is_valid_on(departure.departure_day):
-                        continue
-                    key = (
-                        certificate.dedup_fingerprint(),
-                        domain,
-                        departure.departure_day,
-                    )
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
-                    self.stats.findings += 1
-                    out.add(
-                        StaleCertificate(
-                            certificate=certificate,
-                            staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                            invalidation_day=departure.departure_day,
-                            affected_domain=domain,
-                            detail=f"left={','.join(sorted(departure.removed_targets))}",
-                        )
-                    )
+            departure_findings(index, departure, found)
+        self.stats = DepartureJoinStats(
+            managed_certificates_indexed=indexed_certificate_count(index),
+            departures_detected=len(departures),
+            findings=len(found),
+        )
+        out.extend(found.values())
         return out
 
 

@@ -17,6 +17,7 @@ the gap against simulator ground truth).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ct.dedup import CertificateCorpus
@@ -57,7 +58,7 @@ def find_re_registrations(
     """
     dates_by_domain: Dict[str, set] = {}
     for domain, creation_day in creation_pairs:
-        if tlds is not None and domain.rsplit(".", 1)[-1] not in tlds:
+        if not in_tlds(domain, tlds):
             continue
         dates_by_domain.setdefault(domain, set()).add(creation_day)
     events: List[ReRegistration] = []
@@ -69,6 +70,11 @@ def find_re_registrations(
     return events
 
 
+def in_tlds(domain: str, tlds: Optional[Sequence[str]]) -> bool:
+    """Whether *domain* is under one of *tlds* (``None``: any TLD)."""
+    return tlds is None or domain.rsplit(".", 1)[-1] in tlds
+
+
 class RegistrantChangeDetector:
     """Joins re-registration events against certificate validity windows."""
 
@@ -77,16 +83,6 @@ class RegistrantChangeDetector:
         self._tlds = tlds
         self._certs_by_e2ld: Optional[Dict[str, List[Certificate]]] = None
         self.stats = RegistrantJoinStats()
-
-    def _index(self) -> Dict[str, List[Certificate]]:
-        """e2LD -> certificates with a SAN under that e2LD."""
-        if self._certs_by_e2ld is None:
-            index: Dict[str, List[Certificate]] = {}
-            for certificate in self._corpus.certificates():
-                for registrable in certificate.e2lds():
-                    index.setdefault(registrable, []).append(certificate)
-            self._certs_by_e2ld = index
-        return self._certs_by_e2ld
 
     def _candidates(self, lookup: str) -> Sequence[Certificate]:
         """Certificates joining *lookup*, in corpus order.
@@ -98,7 +94,9 @@ class RegistrantChangeDetector:
         indexed = getattr(self._corpus, "certificates_for_e2ld", None)
         if indexed is not None:
             return indexed(lookup)
-        return self._index().get(lookup, ())
+        if self._certs_by_e2ld is None:
+            self._certs_by_e2ld = index_by_e2ld(self._corpus.certificates(), {})
+        return self._certs_by_e2ld.get(lookup, ())
 
     def detect(
         self,
@@ -109,33 +107,65 @@ class RegistrantChangeDetector:
         out = findings if findings is not None else StaleFindings()
         events = find_re_registrations(creation_pairs, self._tlds)
         self.stats = RegistrantJoinStats(re_registration_events=len(events))
-        emitted = set()
+        found: Dict[Tuple[str, str, Day], StaleCertificate] = {}
         for event in events:
-            registrable = e2ld(event.domain)
-            lookup = registrable if registrable is not None else event.domain
-            candidates = self._candidates(lookup)
+            candidates = self._candidates(domain_key(event.domain))
             if candidates:
                 self.stats.events_joining_certificates += 1
-            for certificate in candidates:  # candidates by e2LD
-                if not certificate.validity.contains(event.creation_day, strict=True):
-                    continue
-                if not _covers_registration(certificate, event.domain):
-                    continue
-                key = (certificate.dedup_fingerprint(), event.domain, event.creation_day)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                self.stats.findings += 1
-                out.add(
-                    StaleCertificate(
-                        certificate=certificate,
-                        staleness_class=StalenessClass.REGISTRANT_CHANGE,
-                        invalidation_day=event.creation_day,
-                        affected_domain=event.domain,
-                        detail=f"re_registered_after={event.previous_creation_day}",
-                    )
-                )
+            for finding in re_registration_findings(
+                event.domain, event.previous_creation_day, event.creation_day, candidates
+            ):
+                key = (finding.certificate.dedup_fingerprint(), event.domain, event.creation_day)
+                found.setdefault(key, finding)
+        self.stats.findings = len(found)
+        out.extend(found.values())
         return out
+
+
+def index_by_e2ld(
+    certificates: Iterable[Certificate], index: Dict[str, List[Certificate]]
+) -> Dict[str, List[Certificate]]:
+    """Add each of *certificates* to *index* under every e2LD it names;
+    returns *index*."""
+    for certificate in certificates:
+        for registrable in certificate.e2lds():
+            index.setdefault(registrable, []).append(certificate)
+    return index
+
+
+@lru_cache(maxsize=1 << 17)
+def domain_key(name: str) -> str:
+    """The registered domain *name* joins certificates under; the sharded
+    engine routes the domain axis by the same key.
+
+    Memoized: snapshot apexes repeat on every scan day, so partitioning
+    would otherwise re-run the PSL parse hundreds of times per name.
+    """
+    registrable = e2ld(name)
+    return registrable if registrable is not None else name
+
+
+def re_registration_findings(
+    domain: str,
+    previous: Day,
+    current: Day,
+    candidates: Iterable[Certificate],
+) -> List[StaleCertificate]:
+    """Findings for *domain* re-registered on *current* (its prior creation
+    date being *previous*): every candidate whose validity strictly spans
+    *current* and which names *domain* or a name beneath it."""
+    return [
+        StaleCertificate(
+            certificate=certificate,
+            staleness_class=StalenessClass.REGISTRANT_CHANGE,
+            invalidation_day=current,
+            affected_domain=domain,
+            detail=f"re_registered_after={previous}",
+        )
+        for certificate in candidates
+        if certificate.validity.contains(current, strict=True)
+        and _covers_registration(certificate, domain)
+    ]
 
 
 def _covers_registration(certificate: Certificate, domain: str) -> bool:

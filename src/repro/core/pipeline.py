@@ -214,11 +214,9 @@ class MeasurementPipeline:
         revocation_cutoff_day: Optional[Day] = None,
         whois_tlds: Optional[Sequence[str]] = ("com", "net"),
     ) -> None:
-        """Direct construction still works but :meth:`run_bundle` is the
-        preferred entry point (it also routes to the sharded parallel
-        engine via ``workers``); this constructor is kept for backwards
-        compatibility and may gain a deprecation warning in a future
-        release."""
+        """One single-process run over *bundle*; :meth:`run_bundle` wraps
+        this and also routes to the sharded parallel engine via
+        ``workers``."""
         self._bundle = bundle
         self._config = PipelineConfig(
             revocation_cutoff_day=revocation_cutoff_day,

@@ -159,19 +159,24 @@ class StreamDetectorProtocolRule(_RegistryProtocolRule):
     rationale = (
         "The stream engine dispatches, finalizes, checkpoints, and "
         "restores detectors purely through the uniform registry shape "
-        "(name/event_type/consume/finalize/stats/restore_state); a "
-        "wrapper missing one member works until the first checkpoint "
-        "resume or finalize touches it mid-collection."
+        "(name/event_type/register_certificate/consume/finalize/findings/"
+        "stats/checkpoint_state/restore_state/after_resume); a wrapper "
+        "missing one member works until the first checkpoint, resume or "
+        "finalize touches it mid-collection."
     )
     anchor_suffix = "repro/stream/engine.py"
     anchor_name = "_detectors"
     required_members = (
         "name",
         "event_type",
+        "register_certificate",
         "consume",
         "finalize",
+        "findings",
         "stats",
+        "checkpoint_state",
         "restore_state",
+        "after_resume",
     )
 
     def registry_classes(self, ctx: FileContext) -> List[Tuple[str, ast.stmt]]:

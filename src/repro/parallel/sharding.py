@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.detectors.registrant_change import domain_key
 from repro.core.pipeline import DatasetBundle
 from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.pki.certificate import Certificate
-from repro.psl.registered import e2ld
 from repro.revocation.crl import CertificateRevocationList
 from repro.util.dates import Day
 
@@ -52,17 +51,6 @@ def stable_hash(key: str) -> int:
     """Process-stable 64-bit hash (builtin ``hash`` is salted per run)."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-@lru_cache(maxsize=1 << 17)
-def domain_key(name: str) -> str:
-    """The domain-axis routing key: exactly the detectors' lookup key.
-
-    Memoized: snapshot apexes repeat on every scan day, so partitioning
-    would otherwise re-run the PSL parse hundreds of times per name.
-    """
-    registrable = e2ld(name)
-    return registrable if registrable is not None else name
 
 
 class _UnionFind:

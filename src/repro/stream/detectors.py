@@ -1,9 +1,9 @@
 """Incremental wrappers for the three staleness detectors.
 
-Each wrapper maintains exactly the state its batch counterpart derives per
-run — a seen-certificate index, the merged revocation view, per-domain
-registry creation dates, the last Cloudflare delegation per apex — and emits
-:class:`~repro.core.stale.StaleCertificate` findings *as events arrive*.
+Each wrapper keeps only the incremental state its batch counterpart derives
+per run (seen-certificate index, merged revocation view, per-domain creation
+dates, departure fold) and its checkpoint encoding; the join rules are the
+:mod:`repro.core.detectors` modules' own functions, called per event.
 
 Correctness contract (enforced by the equivalence tests): fed a bundle's
 events in nondecreasing day order, with CT entries dispatched before other
@@ -17,37 +17,42 @@ All wrappers serialize their non-derivable state for checkpointing.
 Certificates are referenced by dedup fingerprint; the engine re-ingests the
 CT prefix on resume to rebuild the (derivable) indexes.
 
-Each wrapper also presents the uniform registry shape the engine iterates
-(see :class:`~repro.core.detectors.base.Detector`): a ``name`` matching its
-batch counterpart's registry key, the ``event_type`` it consumes,
-``consume(event)`` dispatch, ``finalize()``, a ``stats`` property, a
-batch-shaped ``detect(events, findings)`` entry point, and
-``restore_state(state, resolve_certificate=None)`` plus an
-``after_resume()`` hook with one signature across all three.
+Each wrapper presents the uniform shape the engine iterates (lint rule
+RL402): a ``name`` matching its batch counterpart's registry key, the
+``event_type`` it consumes, ``register_certificate(certificate)``,
+``consume(event)``, ``finalize()``, ``findings()``, a ``stats`` property,
+``checkpoint_state()``, ``restore_state(state, resolve_certificate=None)``
+and an ``after_resume()`` hook.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.detectors.key_compromise import RevocationJoinStats
+from repro.core.detectors.key_compromise import (
+    RevocationJoinStats,
+    filter_reason,
+    revocation_findings,
+)
 from repro.core.detectors.managed_tls import (
-    DISAPPEARANCE_LOOKAHEAD_SCANS,
+    Departure,
+    DepartureFold,
     DepartureJoinStats,
-    _domains_under,
-    cloudflare_subsets,
-    is_cloudflare_managed_certificate,
-    CLOUDFLARE_MANAGED_SAN_SUFFIX,
+    departure_finding,
+    departure_findings,
+    index_managed,
+    indexed_certificate_count,
 )
 from repro.core.detectors.registrant_change import (
     RegistrantJoinStats,
-    _covers_registration,
+    domain_key,
+    in_tlds,
+    index_by_e2ld,
+    re_registration_findings,
 )
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
-from repro.dns.snapshots import DelegationView
+from repro.core.stale import StaleCertificate
 from repro.pki.certificate import Certificate
-from repro.psl.registered import e2ld
 from repro.revocation.crl import CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.stream.events import (
@@ -78,9 +83,7 @@ class IncrementalKeyCompromiseDetector:
         self._cutoff = revocation_cutoff_day
         self._certs_by_key: Dict[RevocationKey, Certificate] = {}
         self._best: Dict[RevocationKey, CrlEntry] = {}
-        self._findings: Dict[
-            RevocationKey, Tuple[StaleCertificate, Optional[StaleCertificate]]
-        ] = {}
+        self._findings: Dict[RevocationKey, List[StaleCertificate]] = {}
 
     # -- event handling -----------------------------------------------------
 
@@ -91,7 +94,7 @@ class IncrementalKeyCompromiseDetector:
             return self._evaluate(key)
         return []
 
-    def handle_crl_delta(self, event: CrlDeltaPublished) -> List[StaleCertificate]:
+    def consume(self, event: CrlDeltaPublished) -> List[StaleCertificate]:
         emitted: List[StaleCertificate] = []
         for entry in event.entries:
             key = (event.authority_key_id, entry.serial)
@@ -103,62 +106,18 @@ class IncrementalKeyCompromiseDetector:
                 emitted.extend(self._evaluate(key))
         return emitted
 
-    def consume(self, event: CrlDeltaPublished) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_crl_delta(event)
-
     def finalize(self) -> List[StaleCertificate]:
         """Nothing buffered: revocations join (or pend) on arrival."""
         return []
 
-    def detect(
-        self,
-        events: Iterable[CrlDeltaPublished],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, then
-        report the converged findings. Certificates must have been
-        registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
-
     def _evaluate(self, key: RevocationKey) -> List[StaleCertificate]:
         certificate = self._certs_by_key[key]
         entry = self._best[key]
-        if not self._passes_filters(entry, certificate):
+        if filter_reason(entry, certificate, self._cutoff) is not None:
             self._findings.pop(key, None)
             return []
-        invalidation_day = max(entry.revocation_day, certificate.not_before)
-        invalidation_day = min(invalidation_day, certificate.not_after)
-        revoked_all = StaleCertificate(
-            certificate=certificate,
-            staleness_class=StalenessClass.REVOKED_ALL,
-            invalidation_day=invalidation_day,
-            detail=f"reason={entry.reason.name.lower()}",
-        )
-        key_compromise = None
-        if entry.reason is RevocationReason.KEY_COMPROMISE:
-            key_compromise = StaleCertificate(
-                certificate=certificate,
-                staleness_class=StalenessClass.KEY_COMPROMISE,
-                invalidation_day=invalidation_day,
-                detail="reason=key_compromise",
-            )
-        self._findings[key] = (revoked_all, key_compromise)
-        return [f for f in (revoked_all, key_compromise) if f is not None]
-
-    def _passes_filters(self, entry: CrlEntry, certificate: Certificate) -> bool:
-        if entry.revocation_day < certificate.not_before:
-            return False
-        if entry.revocation_day > certificate.not_after:
-            return False
-        if self._cutoff is not None and entry.revocation_day < self._cutoff:
-            return False
-        return True
+        self._findings[key] = revocation_findings(entry, certificate)
+        return self._findings[key]
 
     # -- views --------------------------------------------------------------
 
@@ -171,31 +130,14 @@ class IncrementalKeyCompromiseDetector:
         }
 
     def findings(self) -> List[StaleCertificate]:
-        out: List[StaleCertificate] = []
-        for revoked_all, key_compromise in self._findings.values():
-            out.append(revoked_all)
-            if key_compromise is not None:
-                out.append(key_compromise)
-        return out
+        return [finding for found in self._findings.values() for finding in found]
 
     @property
     def stats(self) -> RevocationJoinStats:
         """Join accounting identical to the batch detector's."""
         stats = RevocationJoinStats(crl_entries_merged=len(self._best))
         for key, entry in self._best.items():
-            certificate = self._certs_by_key.get(key)
-            if certificate is None:
-                stats.unmatched += 1
-                continue
-            stats.matched_in_ct += 1
-            if entry.revocation_day < certificate.not_before:
-                stats.filtered_revoked_before_valid += 1
-            elif entry.revocation_day > certificate.not_after:
-                stats.filtered_revoked_after_expiration += 1
-            elif self._cutoff is not None and entry.revocation_day < self._cutoff:
-                stats.filtered_before_cutoff += 1
-            else:
-                stats.survivors += 1
+            stats.record(entry, self._certs_by_key.get(key), self._cutoff)
         return stats
 
     # -- checkpointing ------------------------------------------------------
@@ -251,13 +193,12 @@ class IncrementalRegistrantChangeDetector:
     # -- event handling -----------------------------------------------------
 
     def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        for registrable in certificate.e2lds():
-            self._certs_by_e2ld.setdefault(registrable, []).append(certificate)
+        index_by_e2ld((certificate,), self._certs_by_e2ld)
         return []
 
-    def handle_whois(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
+    def consume(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
         domain, creation_day = event.domain, event.creation_day
-        if self._tlds is not None and domain.rsplit(".", 1)[-1] not in self._tlds:
+        if not in_tlds(domain, self._tlds):
             return []
         dates = self._dates_by_domain.setdefault(domain, [])
         position = bisect.bisect_left(dates, creation_day)
@@ -266,28 +207,9 @@ class IncrementalRegistrantChangeDetector:
         dates.insert(position, creation_day)
         return self._rebuild_domain(domain)
 
-    def consume(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_whois(event)
-
     def finalize(self) -> List[StaleCertificate]:
         """Nothing buffered: creation dates join on arrival."""
         return []
-
-    def detect(
-        self,
-        events: Iterable[WhoisCreationObserved],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, then
-        report the converged findings. Certificates must have been
-        registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
 
     def _rebuild_domain(self, domain: str) -> List[StaleCertificate]:
         """(Re)derive findings for one domain from its date list.
@@ -298,28 +220,14 @@ class IncrementalRegistrantChangeDetector:
         exact.
         """
         dates = self._dates_by_domain[domain]
-        registrable = e2ld(domain)
-        lookup = registrable if registrable is not None else domain
-        candidates = self._certs_by_e2ld.get(lookup, ())
+        candidates = self._certs_by_e2ld.get(domain_key(domain), ())
         emitted: List[StaleCertificate] = []
         for previous, current in zip(dates, dates[1:]):
-            detail = f"re_registered_after={previous}"
-            for certificate in candidates:
-                if not certificate.validity.contains(current, strict=True):
-                    continue
-                if not _covers_registration(certificate, domain):
-                    continue
-                key = (certificate.dedup_fingerprint(), domain, current)
+            for finding in re_registration_findings(domain, previous, current, candidates):
+                key = (finding.certificate.dedup_fingerprint(), domain, current)
                 existing = self._findings.get(key)
-                if existing is not None and existing.detail == detail:
+                if existing is not None and existing.detail == finding.detail:
                     continue
-                finding = StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.REGISTRANT_CHANGE,
-                    invalidation_day=current,
-                    affected_domain=domain,
-                    detail=detail,
-                )
                 self._findings[key] = finding
                 emitted.append(finding)
         return emitted
@@ -328,11 +236,6 @@ class IncrementalRegistrantChangeDetector:
 
     def findings(self) -> List[StaleCertificate]:
         return list(self._findings.values())
-
-    def re_registration_count(self) -> int:
-        return sum(
-            max(0, len(dates) - 1) for dates in self._dates_by_domain.values()
-        )
 
     @property
     def stats(self) -> RegistrantJoinStats:
@@ -345,9 +248,7 @@ class IncrementalRegistrantChangeDetector:
             if not pairs:
                 continue
             stats.re_registration_events += pairs
-            registrable = e2ld(domain)
-            lookup = registrable if registrable is not None else domain
-            if self._certs_by_e2ld.get(lookup):
+            if self._certs_by_e2ld.get(domain_key(domain)):
                 stats.events_joining_certificates += pairs
         return stats
 
@@ -369,29 +270,20 @@ class IncrementalRegistrantChangeDetector:
             for domain, dates in state.get("dates_by_domain", {}).items()
         }
 
-    def rebuild_findings(self) -> None:
-        """Call after the engine re-ingested the CT prefix on resume."""
+    def after_resume(self) -> None:
+        """Post-CT-reingest hook: rederive findings from restored dates."""
         self._findings.clear()
         for domain in self._dates_by_domain:
             self._rebuild_domain(domain)
-
-    def after_resume(self) -> None:
-        """Post-CT-reingest hook: rederive findings from restored dates."""
-        self.rebuild_findings()
 
 
 class IncrementalManagedTlsDetector:
     """Streaming managed-TLS departure detection (paper §4.3).
 
-    State: the Cloudflare-managed certificate index by customer domain, the
-    previous scan day's Cloudflare targets per Cloudflare-delegated apex
-    (an apex that is not on Cloudflare cannot depart, so it is not kept),
-    the emitted departure count, and pending disappearances waiting for the
-    batch detector's transient-scan-loss lookahead (up to
-    :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` later snapshots; the first actual
-    observation decides, and an exhausted lookahead confirms the loss).
-    Unresolved pendings are flushed as departures by :meth:`finalize`,
-    matching the batch behaviour at the end of the scan window.
+    State: the Cloudflare-managed certificate index by customer domain,
+    the findings so far, and the batch detector's
+    :class:`~repro.core.detectors.managed_tls.DepartureFold`, stepped once
+    per scan day; :meth:`finalize` confirms the pendings still open.
     """
 
     name = "managed_tls"
@@ -399,130 +291,27 @@ class IncrementalManagedTlsDetector:
 
     def __init__(self) -> None:
         self._managed_by_domain: Dict[str, List[Certificate]] = {}
-        self._last_view: Dict[str, FrozenSet[str]] = {}
-        self._cloudflare = cloudflare_subsets()
-        self._pending: List[dict] = []
-        self._departures_detected = 0
+        self._fold = DepartureFold()
         self._findings: Dict[Tuple[str, str, Day], StaleCertificate] = {}
 
     # -- event handling -----------------------------------------------------
 
     def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        if not is_cloudflare_managed_certificate(certificate):
-            return []
-        for san in sorted(certificate.fqdns()):
-            if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
-                continue  # the CDN's own marker SAN
-            self._managed_by_domain.setdefault(san, []).append(certificate)
+        index_managed((certificate,), self._managed_by_domain)
         return []
 
-    def handle_snapshot(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
-        """Fold one scan day's delegation view (the batch
-        :func:`~repro.core.detectors.managed_tls.find_departures` step)."""
-        view = event.view
-        # Pendings predate this view: resolve them against it first.
-        emitted = self._resolve_pendings(view)
-        for apex in sorted(self._last_view):  # hash-seed-free emission order
-            removed = sorted(self._last_view[apex])
-            targets = view.get(apex)
-            if targets is None:
-                self._pending.append(
-                    {
-                        "apex": apex,
-                        "departure_day": event.day,
-                        "removed": removed,
-                        "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
-                    }
-                )
-            elif not self._cloudflare(targets):
-                emitted.extend(self._emit_departure(apex, event.day, removed))
-        self._last_view = {}
-        for apex, targets in view.items():
-            subset = self._cloudflare(targets)
-            if subset:
-                self._last_view[apex] = subset
-        return emitted
-
     def consume(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_snapshot(event)
-
-    def detect(
-        self,
-        events: Iterable[DnsSnapshotTaken],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, flush
-        pendings, then report the converged findings. Certificates must
-        have been registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
-
-    def _resolve_pendings(self, view: DelegationView) -> List[StaleCertificate]:
-        emitted: List[StaleCertificate] = []
-        unresolved: List[dict] = []
-        for pending in self._pending:
-            apex = pending["apex"]
-            if apex in view:
-                if self._cloudflare(view[apex]):
-                    continue  # back on Cloudflare: transient scan loss
-                emitted.extend(
-                    self._emit_departure(
-                        apex, pending["departure_day"], pending["removed"]
-                    )
-                )
-                continue
-            pending["remaining"] -= 1
-            if pending["remaining"] <= 0:
-                emitted.extend(
-                    self._emit_departure(
-                        apex, pending["departure_day"], pending["removed"]
-                    )
-                )
-            else:
-                unresolved.append(pending)
-        self._pending = unresolved
-        return emitted
-
-    def _emit_departure(
-        self, apex: str, departure_day: Day, removed: Sequence[str]
-    ) -> List[StaleCertificate]:
-        self._departures_detected += 1
-        detail = f"left={','.join(removed)}"
-        emitted: List[StaleCertificate] = []
-        for domain, certificates in _domains_under(self._managed_by_domain, apex):
-            for certificate in certificates:
-                if not certificate.is_valid_on(departure_day):
-                    continue
-                key = (certificate.dedup_fingerprint(), domain, departure_day)
-                if key in self._findings:
-                    continue
-                finding = StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                    invalidation_day=departure_day,
-                    affected_domain=domain,
-                    detail=detail,
-                )
-                self._findings[key] = finding
-                emitted.append(finding)
-        return emitted
+        return self._emit_all(self._fold.step(event.day, event.view))
 
     def finalize(self) -> List[StaleCertificate]:
-        """Flush pendings the scan window ended before resolving."""
-        emitted: List[StaleCertificate] = []
-        for pending in self._pending:
-            emitted.extend(
-                self._emit_departure(
-                    pending["apex"], pending["departure_day"], pending["removed"]
-                )
-            )
-        self._pending = []
-        return emitted
+        """Confirm the pendings the scan window ended before resolving."""
+        return self._emit_all(self._fold.flush())
+
+    def _emit_all(self, departures: List[Departure]) -> List[StaleCertificate]:
+        return [found for d in departures for found in self._emit_departure(d)]
+
+    def _emit_departure(self, departure: Departure) -> List[StaleCertificate]:
+        return departure_findings(self._managed_by_domain, departure, self._findings)
 
     # -- views --------------------------------------------------------------
 
@@ -530,7 +319,7 @@ class IncrementalManagedTlsDetector:
         return list(self._findings.values())
 
     def pending_departures(self) -> int:
-        return len(self._pending)
+        return len(self._fold.pending)
 
     @property
     def stats(self) -> DepartureJoinStats:
@@ -539,14 +328,8 @@ class IncrementalManagedTlsDetector:
         resumes (the batch detector counts a completed window's departures
         in one shot)."""
         return DepartureJoinStats(
-            managed_certificates_indexed=len(
-                {
-                    certificate.dedup_fingerprint()
-                    for certificates in self._managed_by_domain.values()
-                    for certificate in certificates
-                }
-            ),
-            departures_detected=self._departures_detected,
+            managed_certificates_indexed=indexed_certificate_count(self._managed_by_domain),
+            departures_detected=self._fold.departures_detected,
             findings=len(self._findings),
         )
 
@@ -555,10 +338,10 @@ class IncrementalManagedTlsDetector:
     def checkpoint_state(self) -> dict:
         return {
             "last_view": {
-                apex: sorted(targets) for apex, targets in self._last_view.items()
+                apex: sorted(targets) for apex, targets in self._fold.last_view.items()
             },
-            "pending": [dict(pending) for pending in self._pending],
-            "departures_detected": self._departures_detected,
+            "pending": [dict(pending) for pending in self._fold.pending],
+            "departures_detected": self._fold.departures_detected,
             "findings": [
                 [fingerprint, domain, finding.invalidation_day, finding.detail]
                 for (fingerprint, domain, _), finding in self._findings.items()
@@ -573,22 +356,19 @@ class IncrementalManagedTlsDetector:
         if resolve_certificate is None:
             raise ValueError("managed-TLS restore requires resolve_certificate")
         self._managed_by_domain.clear()
-        self._last_view = {
+        self._fold = DepartureFold()
+        self._fold.last_view = {
             apex: frozenset(targets)
             for apex, targets in state.get("last_view", {}).items()
         }
-        self._pending = [dict(pending) for pending in state.get("pending", [])]
-        self._departures_detected = state.get("departures_detected", 0)
-        self._findings = {}
-        for fingerprint, domain, departure_day, detail in state.get("findings", []):
-            certificate = resolve_certificate(fingerprint)
-            self._findings[(fingerprint, domain, departure_day)] = StaleCertificate(
-                certificate=certificate,
-                staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                invalidation_day=departure_day,
-                affected_domain=domain,
-                detail=detail,
+        self._fold.pending = [dict(pending) for pending in state.get("pending", [])]
+        self._fold.departures_detected = state.get("departures_detected", 0)
+        self._findings = {
+            (fingerprint, domain, departure_day): departure_finding(
+                resolve_certificate(fingerprint), domain, departure_day, detail
             )
+            for fingerprint, domain, departure_day, detail in state.get("findings", [])
+        }
 
     def after_resume(self) -> None:
         """Post-CT-reingest hook; findings were restored, nothing to do."""

@@ -23,6 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.detectors.key_compromise import RevocationJoinStats
 from repro.core.pipeline import DatasetBundle, MeasurementPipeline, PipelineResult
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.ct.dedup import CertificateCorpus
+from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
 from repro.stream.bus import EventBus
 from repro.stream.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -67,6 +69,14 @@ def bundle_fingerprint(bundle: DatasetBundle) -> str:
     return digest.hexdigest()[:16]
 
 
+def _ct_order(corpus: CertificateCorpus) -> List[Certificate]:
+    """The corpus in the order CT entries are replayed: by notBefore, ties
+    broken by dedup fingerprint."""
+    return sorted(
+        corpus.certificates(), key=lambda c: (c.not_before, c.dedup_fingerprint())
+    )
+
+
 def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     """Derive the sorted event list a live deployment would have observed.
 
@@ -79,11 +89,7 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     """
     events: List[Event] = []
 
-    certificates = sorted(
-        bundle.corpus.certificates(),
-        key=lambda c: (c.not_before, c.dedup_fingerprint()),
-    )
-    for sequence, certificate in enumerate(certificates):
+    for sequence, certificate in enumerate(_ct_order(bundle.corpus)):
         events.append(
             CtEntryLogged(
                 day=certificate.not_before, sequence=sequence, certificate=certificate
@@ -371,9 +377,9 @@ class StreamEngine:
         self.bus.stats = self.stats
 
         detectors = state.get("detectors", {})
+        certificates = _ct_order(self._bundle.corpus)
         by_fingerprint = {
-            certificate.dedup_fingerprint(): certificate
-            for certificate in self._bundle.corpus.certificates()
+            certificate.dedup_fingerprint(): certificate for certificate in certificates
         }
         for detector in self._detectors:
             detector.restore_state(
@@ -386,10 +392,7 @@ class StreamEngine:
         # side effect, and each detector's after_resume hook rederives
         # whatever else its state implies (registrant-change findings).
         if self._cursor is not None:
-            for certificate in sorted(
-                self._bundle.corpus.certificates(),
-                key=lambda c: (c.not_before, c.dedup_fingerprint()),
-            ):
+            for certificate in certificates:
                 if certificate.not_before > self._cursor:
                     break
                 for detector in self._detectors:

@@ -5,17 +5,29 @@ class CompleteStreamDetector:
     name = "complete"
     event_type = "crl_delta_published"
 
+    def register_certificate(self, certificate):
+        return []
+
     def consume(self, event):
         return []
 
     def finalize(self):
         return []
 
+    def findings(self):
+        return []
+
     @property
     def stats(self):
         return None
 
+    def checkpoint_state(self):
+        return {}
+
     def restore_state(self, state, resolve_certificate=None):
+        return None
+
+    def after_resume(self):
         return None
 
 

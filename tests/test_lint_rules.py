@@ -4,6 +4,7 @@ on its good one, and the project rules resolve the real registries."""
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -199,21 +200,43 @@ class TestProtocolRulesOnRealTree:
         }
         assert list(rule.check_project(real_index)) == []
 
-    def test_removing_a_member_is_detected(self, real_index):
-        """Deleting restore_state from a stream wrapper fails the lint."""
+    @pytest.mark.parametrize(
+        "member",
+        [
+            # Every member StreamEngine reads or calls on self._detectors.
+            "name",
+            "event_type",
+            "register_certificate",
+            "consume",
+            "finalize",
+            "findings",
+            "stats",
+            "checkpoint_state",
+            "restore_state",
+            "after_resume",
+        ],
+    )
+    def test_removing_a_member_is_detected(self, real_index, member):
+        """Renaming away any member the engine uses, in every stream
+        wrapper, fails the lint once per wrapper."""
         rule = StreamDetectorProtocolRule()
         detectors_path = next(
             path for path in real_index.files
             if path.endswith("repro/stream/detectors.py")
         )
-        source = real_index.files[detectors_path].source.replace(
-            "def restore_state", "def renamed_restore_state"
+        # Class-body definitions only: methods, properties and class
+        # attributes sit at one level of indentation.
+        source = re.sub(
+            rf"^    (def )?{member}\b",
+            rf"    \g<1>renamed_{member}",
+            real_index.files[detectors_path].source,
+            flags=re.MULTILINE,
         )
         contexts = dict(real_index.files)
         contexts[detectors_path] = FileContext.parse(detectors_path, source)
         findings = list(rule.check_project(ProjectIndex(contexts)))
         assert len(findings) == 3
-        assert all("restore_state" in f.message for f in findings)
+        assert all(member in f.message for f in findings)
 
 
 class TestClassInfo:

@@ -287,9 +287,9 @@ class RecordingDetector(IncrementalManagedTlsDetector):
         super().__init__()
         self.departures: List[Departure] = []
 
-    def _emit_departure(self, apex, departure_day, removed):
-        self.departures.append(Departure(apex, departure_day, frozenset(removed)))
-        return super()._emit_departure(apex, departure_day, removed)
+    def _emit_departure(self, departure):
+        self.departures.append(departure)
+        return super()._emit_departure(departure)
 
 
 #: One Cloudflare-managed certificate per apex, valid over every drawn day.

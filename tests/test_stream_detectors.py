@@ -63,7 +63,7 @@ class TestIncrementalKeyCompromise:
         detector = IncrementalKeyCompromiseDetector()
         cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
         assert detector.register_certificate(cert) == []
-        emitted = detector.handle_crl_delta(
+        emitted = detector.consume(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.KEY_COMPROMISE)])
         )
         assert sorted(f.staleness_class.value for f in emitted) == [
@@ -73,7 +73,7 @@ class TestIncrementalKeyCompromise:
 
     def test_revocation_before_cert_joins_retroactively(self):
         detector = IncrementalKeyCompromiseDetector()
-        emitted = detector.handle_crl_delta(
+        emitted = detector.consume(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.SUPERSEDED)])
         )
         assert emitted == []
@@ -87,8 +87,8 @@ class TestIncrementalKeyCompromise:
         detector = IncrementalKeyCompromiseDetector()
         cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
         detector.register_certificate(cert)
-        detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 60)]))
-        revised = detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 20)]))
+        detector.consume(crl_delta([CrlEntry(1, T0 + 60)]))
+        revised = detector.consume(crl_delta([CrlEntry(1, T0 + 20)]))
         assert [f.invalidation_day for f in revised] == [T0 + 20]
         # Converged view holds only the revised finding.
         assert [f.invalidation_day for f in detector.findings()] == [T0 + 20]
@@ -97,8 +97,8 @@ class TestIncrementalKeyCompromise:
         detector = IncrementalKeyCompromiseDetector()
         cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
         detector.register_certificate(cert)
-        detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 20)]))
-        assert detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 60)])) == []
+        detector.consume(crl_delta([CrlEntry(1, T0 + 20)]))
+        assert detector.consume(crl_delta([CrlEntry(1, T0 + 60)])) == []
 
     def test_filters_and_stats_match_batch_semantics(self):
         cutoff = T0 + 10
@@ -108,7 +108,7 @@ class TestIncrementalKeyCompromise:
         expired = make_cert(sans=("expired.com",), serial=3, not_before=T0, lifetime=30)
         for cert in (ok, early, expired):
             detector.register_certificate(cert)
-        detector.handle_crl_delta(
+        detector.consume(
             crl_delta(
                 [
                     CrlEntry(1, T0 + 20),   # survives
@@ -131,7 +131,7 @@ class TestIncrementalKeyCompromise:
         detector = IncrementalKeyCompromiseDetector()
         cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
         detector.register_certificate(cert)
-        detector.handle_crl_delta(
+        detector.consume(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.KEY_COMPROMISE)])
         )
         state = detector.checkpoint_state()
@@ -150,8 +150,8 @@ class TestIncrementalRegistrantChange:
         detector = IncrementalRegistrantChangeDetector()
         cert = make_cert(sans=("re.com",), not_before=T0, lifetime=365)
         detector.register_certificate(cert)
-        assert detector.handle_whois(whois("re.com", T0 - 100)) == []
-        emitted = detector.handle_whois(whois("re.com", T0 + 50))
+        assert detector.consume(whois("re.com", T0 - 100)) == []
+        emitted = detector.consume(whois("re.com", T0 + 50))
         assert len(emitted) == 1
         finding = emitted[0]
         assert finding.staleness_class is StalenessClass.REGISTRANT_CHANGE
@@ -161,34 +161,34 @@ class TestIncrementalRegistrantChange:
     def test_duplicate_crawl_observation_ignored(self):
         detector = IncrementalRegistrantChangeDetector()
         detector.register_certificate(make_cert(sans=("re.com",), not_before=T0))
-        detector.handle_whois(whois("re.com", T0 - 100))
-        detector.handle_whois(whois("re.com", T0 + 50))
-        assert detector.handle_whois(whois("re.com", T0 + 50)) == []
+        detector.consume(whois("re.com", T0 - 100))
+        detector.consume(whois("re.com", T0 + 50))
+        assert detector.consume(whois("re.com", T0 + 50)) == []
         assert len(detector.findings()) == 1
 
     def test_tld_filter(self):
         detector = IncrementalRegistrantChangeDetector(tlds=("com",))
         detector.register_certificate(make_cert(sans=("re.org",), not_before=T0))
-        detector.handle_whois(whois("re.org", T0 - 100))
-        assert detector.handle_whois(whois("re.org", T0 + 50)) == []
+        detector.consume(whois("re.org", T0 - 100))
+        assert detector.consume(whois("re.org", T0 + 50)) == []
 
     def test_cert_must_strictly_span_creation_day(self):
         detector = IncrementalRegistrantChangeDetector()
         cert = make_cert(sans=("re.com",), not_before=T0, lifetime=50)
         detector.register_certificate(cert)
-        detector.handle_whois(whois("re.com", T0 - 100))
+        detector.consume(whois("re.com", T0 - 100))
         # creation exactly at notAfter: not strictly inside.
-        assert detector.handle_whois(whois("re.com", T0 + 50)) == []
+        assert detector.consume(whois("re.com", T0 + 50)) == []
 
     def test_out_of_order_arrival_revises_detail(self):
         detector = IncrementalRegistrantChangeDetector()
         cert = make_cert(sans=("re.com",), not_before=T0 - 400, lifetime=800)
         detector.register_certificate(cert)
-        detector.handle_whois(whois("re.com", T0 - 300))
-        detector.handle_whois(whois("re.com", T0 + 50))
+        detector.consume(whois("re.com", T0 - 300))
+        detector.consume(whois("re.com", T0 + 50))
         # A late crawl surfaces a middle date: the T0+50 pair's previous day
         # changes, and a new re-registration at T0-100 appears.
-        emitted = detector.handle_whois(whois("re.com", T0 - 100))
+        emitted = detector.consume(whois("re.com", T0 - 100))
         days = sorted((f.invalidation_day, f.detail) for f in detector.findings())
         assert days == [
             (T0 - 100, f"re_registered_after={T0 - 300}"),
@@ -200,14 +200,14 @@ class TestIncrementalRegistrantChange:
         detector = IncrementalRegistrantChangeDetector()
         cert = make_cert(sans=("re.com",), not_before=T0)
         detector.register_certificate(cert)
-        detector.handle_whois(whois("re.com", T0 - 100))
-        detector.handle_whois(whois("re.com", T0 + 50))
+        detector.consume(whois("re.com", T0 - 100))
+        detector.consume(whois("re.com", T0 + 50))
         state = detector.checkpoint_state()
 
         restored = IncrementalRegistrantChangeDetector()
         restored.restore_state(state)
         restored.register_certificate(cert)
-        restored.rebuild_findings()
+        restored.after_resume()
         assert [f.invalidation_day for f in restored.findings()] == [T0 + 50]
 
 
@@ -216,8 +216,8 @@ class TestIncrementalManagedTls:
         detector = IncrementalManagedTlsDetector()
         cert = managed_cert("cust.com")
         detector.register_certificate(cert)
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        emitted = detector.handle_snapshot(
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        emitted = detector.consume(
             snapshot_event(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
         )
         assert len(emitted) == 1  # apex and wildcard share the FQDN "cust.com"
@@ -230,8 +230,8 @@ class TestIncrementalManagedTls:
     def test_shuffle_within_cloudflare_not_departure(self):
         detector = IncrementalManagedTlsDetector()
         detector.register_certificate(managed_cert("cust.com"))
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        emitted = detector.handle_snapshot(
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        emitted = detector.consume(
             snapshot_event(
                 T0 + 1,
                 {"cust.com": {RecordType.NS: ("carol.ns.cloudflare.com",)}},
@@ -242,10 +242,10 @@ class TestIncrementalManagedTls:
     def test_disappearance_confirmed_by_reobservation_elsewhere(self):
         detector = IncrementalManagedTlsDetector()
         detector.register_certificate(managed_cert("cust.com"))
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        assert detector.handle_snapshot(snapshot_event(T0 + 1, {})) == []
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        assert detector.consume(snapshot_event(T0 + 1, {})) == []
         assert detector.pending_departures() == 1
-        emitted = detector.handle_snapshot(
+        emitted = detector.consume(
             snapshot_event(T0 + 2, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
         )
         assert emitted  # confirmed: departed on the disappearance day
@@ -255,9 +255,9 @@ class TestIncrementalManagedTls:
     def test_disappearance_reappearing_on_cloudflare_is_scan_loss(self):
         detector = IncrementalManagedTlsDetector()
         detector.register_certificate(managed_cert("cust.com"))
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        detector.handle_snapshot(snapshot_event(T0 + 1, {}))
-        emitted = detector.handle_snapshot(
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        detector.consume(snapshot_event(T0 + 1, {}))
+        emitted = detector.consume(
             snapshot_event(T0 + 2, {"cust.com": {RecordType.NS: CF_NS}})
         )
         assert emitted == []
@@ -267,18 +267,18 @@ class TestIncrementalManagedTls:
     def test_lookahead_exhaustion_confirms_departure(self):
         detector = IncrementalManagedTlsDetector()
         detector.register_certificate(managed_cert("cust.com"))
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         emitted = []
         for offset in range(1, 5):
-            emitted.extend(detector.handle_snapshot(snapshot_event(T0 + offset, {})))
+            emitted.extend(detector.consume(snapshot_event(T0 + offset, {})))
         assert emitted  # three unobserved scans exhaust the lookahead
         assert all(f.invalidation_day == T0 + 1 for f in emitted)
 
     def test_finalize_flushes_pendings(self):
         detector = IncrementalManagedTlsDetector()
         detector.register_certificate(managed_cert("cust.com"))
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        detector.handle_snapshot(snapshot_event(T0 + 1, {}))
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        detector.consume(snapshot_event(T0 + 1, {}))
         assert detector.pending_departures() == 1
         emitted = detector.finalize()
         assert emitted
@@ -289,8 +289,8 @@ class TestIncrementalManagedTls:
         detector.register_certificate(
             managed_cert("cust.com", not_before=T0 - 400, lifetime=100)
         )
-        detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        emitted = detector.handle_snapshot(
+        detector.consume(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        emitted = detector.consume(
             snapshot_event(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
         )
         assert emitted == []
@@ -301,7 +301,7 @@ class TestIncrementalManagedTls:
         still_cert = managed_cert("still.com", serial=302)
         detector.register_certificate(cert)
         detector.register_certificate(still_cert)
-        detector.handle_snapshot(
+        detector.consume(
             snapshot_event(
                 T0,
                 {
@@ -310,7 +310,7 @@ class TestIncrementalManagedTls:
                 },
             )
         )
-        detector.handle_snapshot(
+        detector.consume(
             snapshot_event(
                 T0 + 1,
                 {

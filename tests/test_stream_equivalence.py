@@ -11,9 +11,15 @@ detector-skipping edges of the batch pipeline.
 import pytest
 
 from repro import MeasurementPipeline
-from repro.core.pipeline import DatasetBundle
+from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle, PipelineConfig
 from repro.core.stale import StalenessClass
-from repro.stream import StreamEngine, canonical_findings, verify_equivalence
+from repro.stream import (
+    CheckpointStore,
+    StreamEngine,
+    build_event_stream,
+    canonical_findings,
+    verify_equivalence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +114,63 @@ class TestReducedBundles:
         assert ok
         classes = {f.staleness_class for f in result.findings.all_findings()}
         assert StalenessClass.REGISTRANT_CHANGE not in classes
+
+
+def _batch_stats(bundle, cutoff):
+    """Join stats of each registry detector run alone over *bundle*."""
+    config = PipelineConfig(revocation_cutoff_day=cutoff)
+    stats = {}
+    for spec in DETECTOR_REGISTRY:
+        detector = spec.build(bundle, config)
+        detector.detect(spec.inputs(bundle))
+        stats[spec.key] = detector.stats
+    return stats
+
+
+def _stream_stats(engine):
+    return {detector.name: detector.stats for detector in engine._detectors}
+
+
+class TestJoinStatsAcrossEngines:
+    """Every class's join accounting agrees between the batch detector, an
+    uninterrupted replay, a killed-and-resumed replay and (key compromise)
+    the sharded engine."""
+
+    @pytest.fixture(scope="class")
+    def batch_stats(self, small_bundle, cutoff):
+        return _batch_stats(small_bundle, cutoff)
+
+    def test_uninterrupted_replay(self, small_bundle, cutoff, batch_stats):
+        engine = StreamEngine(small_bundle, revocation_cutoff_day=cutoff)
+        assert engine.replay().complete
+        assert _stream_stats(engine) == batch_stats
+        assert batch_stats["key_compromise"].survivors > 0
+        assert batch_stats["registrant_change"].findings > 0
+        assert batch_stats["managed_tls"].departures_detected > 0
+
+    @pytest.mark.parametrize("window", ["crl", "dns"])
+    def test_killed_and_resumed_replay(
+        self, small_bundle, cutoff, batch_stats, tmp_path, window
+    ):
+        if window == "crl":
+            window_days = sorted({crl.this_update for crl in small_bundle.crls})
+        else:
+            window_days = small_bundle.dns_snapshots.days()
+        kill_day = window_days[len(window_days) // 2]
+        event_days = sorted({event.day for event in build_event_stream(small_bundle)})
+        store = CheckpointStore(str(tmp_path))
+        killed = StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        )
+        assert not killed.replay(max_days=event_days.index(kill_day) + 1).complete
+        resumed = StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        )
+        assert resumed.replay(resume=True).complete
+        assert _stream_stats(resumed) == batch_stats
+
+    def test_sharded_revocation_stats(self, small_bundle, cutoff, batch_stats):
+        result = MeasurementPipeline.run_bundle(
+            small_bundle, revocation_cutoff_day=cutoff, workers=2
+        )
+        assert result.revocation_stats == batch_stats["key_compromise"]
